@@ -22,8 +22,24 @@ from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector
 MIN_PER_CLASS = 5
 
 DEFAULT_L2 = 1e-3
-DEFAULT_LR = 0.1
-DEFAULT_ITERS = 5_000
+
+# Newton's method on the regularized loss: stop once every gradient entry
+# is below NEWTON_GRAD_TOL or after NEWTON_MAX_STEPS steps.  The Hessian
+# gets NEWTON_JITTER on its diagonal, so that an unregularized fit on
+# separable data (where the curvature vanishes as the weights grow)
+# takes bounded steps and returns finite weights.
+NEWTON_GRAD_TOL = 1e-10
+NEWTON_MAX_STEPS = 100
+NEWTON_JITTER = 1e-12
+# Armijo line search: accept step t once the loss falls by at least
+# ARMIJO_C * t * (directional derivative), give or take LOSS_RTOL of the
+# loss; halve t at most ARMIJO_MAX_HALVINGS times.  Near the minimum a
+# Newton step lowers the loss by less than its rounding error, so without
+# the allowance the loss could no longer rank steps and the fit would
+# stop short of NEWTON_GRAD_TOL.
+ARMIJO_C = 1e-4
+ARMIJO_MAX_HALVINGS = 60
+LOSS_RTOL = 1e-13
 
 STATUS_TRAINED = "trained"
 STATUS_SKIPPED = "skipped_insufficient_data"
@@ -216,7 +232,7 @@ def featurize(
 
 
 # --------------------------------------------------------------------------
-# Logistic regression (full-batch gradient descent, deterministic)
+# Logistic regression (Newton's method with a line search, deterministic)
 # --------------------------------------------------------------------------
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -250,52 +266,65 @@ def logistic_gradient(
 
 
 def _fit_logistic_nd(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    l2: float,
-    lr: float,
-    iters: int,
+    xs: np.ndarray, ys: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    """Zero-initialized full-batch gradient descent; deterministic.
+    """Minimize logistic_loss over (w, b) by Newton's method; deterministic.
 
-    The data term takes an explicit gradient step; the L2 penalty takes
-    an implicit (proximal) step, w /= (1 + lr*l2), which has the same
-    stationary point as plain gradient descent on the regularized loss
-    but stays stable for arbitrarily large l2.
+    Works on the design matrix [xs, 1] from a zero start.  Each step
+    solves the (jittered) Hessian system for the Newton direction and
+    backtracks along it until the Armijo condition holds.  The loss is
+    convex, so a point where the gradient vanishes is its global
+    minimum; the bias is unregularized.
     """
     if l2 < 0:
         raise ValueError("l2 must be nonnegative")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     n_pos = int(np.sum(ys == 1))
     n_neg = len(ys) - n_pos
     if n_pos < MIN_PER_CLASS or n_neg < MIN_PER_CLASS:
         raise ClassImbalance(
             f"need at least {MIN_PER_CLASS} examples per class, got {n_pos} / {n_neg}"
         )
-    w = np.zeros(xs.shape[1])
-    b = 0.0
-    shrink = 1.0 + lr * l2
-    for _ in range(iters):
-        grad_w, grad_b = logistic_gradient(w, b, xs, ys, 0.0)
-        w = (w - lr * grad_w) / shrink
-        b = b - lr * grad_b
-    return w, b
+    n, k = xs.shape
+    design = np.hstack([xs, np.ones((n, 1))])
+    penalty = np.full(k + 1, l2)
+    penalty[k] = 0.0
+    ridge = np.diag(penalty + NEWTON_JITTER)
+
+    def loss(theta: np.ndarray) -> float:
+        return logistic_loss(theta[:k], float(theta[k]), xs, ys, l2)
+
+    theta = np.zeros(k + 1)
+    current = loss(theta)
+    for _ in range(NEWTON_MAX_STEPS):
+        p = sigmoid(design @ theta)
+        grad = design.T @ (p - ys) / n + penalty * theta
+        if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
+            break
+        hessian = (design.T * (p * (1.0 - p))) @ design / n + ridge
+        step = -np.linalg.solve(hessian, grad)
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(ARMIJO_MAX_HALVINGS):
+            candidate = theta + t * step
+            value = loss(candidate)
+            if value <= current + ARMIJO_C * t * slope + LOSS_RTOL * current:
+                break
+            t *= 0.5
+        else:
+            break  # no decrease representable in float64: at the minimum
+        theta, current = candidate, value
+    return theta[:k], float(theta[k])
 
 
 def fit_logistic(
-    xs: Sequence[float],
-    ys: Sequence[int],
-    l2: float = DEFAULT_L2,
-    lr: float = DEFAULT_LR,
-    iters: int = DEFAULT_ITERS,
+    xs: Sequence[float], ys: Sequence[int], l2: float = DEFAULT_L2
 ) -> tuple[float, float]:
     """Univariate logistic fit: returns (weight, bias)."""
     x = np.asarray(xs, dtype=np.float64).reshape(-1, 1)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ValueError("xs and ys must align")
-    w, b = _fit_logistic_nd(x, y, l2, lr, iters)
+    w, b = _fit_logistic_nd(x, y, l2)
     return float(w[0]), b
 
 
@@ -391,8 +420,6 @@ def train_assessor(
     pitfall_ids: Sequence[str],
     mode: str = MODE_UNIVARIATE,
     l2: float = DEFAULT_L2,
-    lr: float = DEFAULT_LR,
-    iters: int = DEFAULT_ITERS,
 ) -> AssessorModel:
     """Fit one classifier per pitfall, skipping under-annotated ones.
 
@@ -434,7 +461,7 @@ def train_assessor(
         x = np.asarray(xs, dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
-        w, b = _fit_logistic_nd(x, np.asarray(ys, dtype=np.float64), l2, lr, iters)
+        w, b = _fit_logistic_nd(x, np.asarray(ys, dtype=np.float64), l2)
         classifiers.append(
             PitfallClassifier(
                 pitfall_id=pid,

@@ -372,17 +372,6 @@ class RemoteEmbeddingProvider(_RemoteBase):
         return as_embedding(json.loads(encoded)["embedding"])
 
 
-def remote_embed(
-    cfg: ProviderConfig,
-    system_prompt: str,
-    document: str,
-    transport: Transport | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`RemoteEmbeddingProvider`."""
-    return RemoteEmbeddingProvider(cfg, transport, sleep).embed(system_prompt, document)
-
-
 class RemoteChatProvider(_RemoteBase):
     """Chat completions from an OpenAI-compatible endpoint."""
 

@@ -25,10 +25,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .gateway import EmbeddingProvider
 
-# Power iteration runs on the scatter matrix of the centered deltas with a
-# deterministic start vector, so repeated calls give bitwise-equal output.
-POWER_TOL = 1e-10
-POWER_MAX_ITERS = 10_000
 DEGENERATE_FROBENIUS_TOL = 1e-12
 UNIT_NORM_TOL = 1e-9
 
@@ -126,36 +122,15 @@ def compute_deltas(
     return np.vstack(rows)
 
 
-def _power_iteration(mat: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of a symmetric PSD matrix, deterministic start."""
-    k = mat.shape[0]
-    start = np.ones(k) / np.sqrt(k)
-    # If the all-ones start sits in the null space, fall back to the basis
-    # vector with the largest diagonal entry (nonzero for a PSD matrix with
-    # nonzero trace).
-    if np.linalg.norm(mat @ start) < DEGENERATE_FROBENIUS_TOL:
-        start = np.zeros(k)
-        start[int(np.argmax(np.diag(mat)))] = 1.0
-    v = start
-    for _ in range(POWER_MAX_ITERS):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v
-        w /= norm
-        if np.linalg.norm(w - v) < POWER_TOL:
-            return w
-        v = w
-    return v
-
-
 def first_principal_component(deltas: np.ndarray) -> np.ndarray:
     """Unit leading principal component of a delta matrix, sign-fixed.
 
     Columns are mean-centered before forming the scatter matrix.  The
-    eigenvector is computed by power iteration on the d x d scatter (or
-    the n x n Gram matrix when n < d) and its sign is flipped so that the
-    mean projection of the *uncentered* rows is nonnegative.
+    eigenvector is the last (largest-eigenvalue) column of ``np.linalg.eigh``
+    on the smaller of the d x d scatter and the n x n Gram matrix (mapped
+    back through the centered rows when n < d), so a small eigengap costs
+    no accuracy.  Its sign is flipped so that the mean projection of the
+    *uncentered* rows is nonnegative.
 
     Degenerate spread (centered matrix ~ 0) falls back to the normalized
     mean row; if that is also ~ 0 the deltas carry no signal and
@@ -177,13 +152,12 @@ def first_principal_component(deltas: np.ndarray) -> np.ndarray:
         return mean_row / norm
 
     if n < d:
-        gram = centered @ centered.T
-        w = _power_iteration(gram)
-        direction = centered.T @ w
+        _, vecs = np.linalg.eigh(centered @ centered.T)
+        direction = centered.T @ vecs[:, -1]
         direction /= np.linalg.norm(direction)
     else:
-        scatter = centered.T @ centered
-        direction = _power_iteration(scatter)
+        _, vecs = np.linalg.eigh(centered.T @ centered)
+        direction = vecs[:, -1]
 
     # Sign convention: uncentered rows are nonnegative, so a stable
     # orientation is the one their mean projects positively onto.
@@ -274,6 +248,9 @@ def extract_concept_vector(
     pos = [provider.embed(prompts.positive, text) for text in probes.probes]
     neg = [provider.embed(prompts.negative, text) for text in probes.probes]
     deltas = compute_deltas(pos, neg)
+    # Free the 2n pole embeddings before the eigensolver allocates its
+    # workspace, so extraction peaks at the embeddings, not at both.
+    del pos, neg
     direction = first_principal_component(deltas)
     return ConceptVector(
         direction=direction,

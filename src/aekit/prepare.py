@@ -399,12 +399,3 @@ def run_prepare_loop(
     finally:
         sandbox.close()
 
-
-def execute_command(sandbox, command: str, timeout: float, output_cap: int) -> CommandStep:
-    """Run one command in an open sandbox (thin alias for sandbox.run)."""
-    return sandbox.run(command, timeout, output_cap)
-
-
-def archive_environment(sandbox, paper_id: str, dest_dir: str | Path | None = None) -> str:
-    """Snapshot an open sandbox (thin alias for sandbox.snapshot)."""
-    return sandbox.snapshot(paper_id, dest_dir)

@@ -153,15 +153,19 @@ def calibrate_cutoff(scores: Sequence[float], labels: Sequence[str]) -> Cutoff:
     if n_pos == 0 or n_pos == len(labels):
         raise DegenerateLabels("calibration needs both runs and not_runs examples")
 
-    candidates = sorted(set(scores)) + [min(scores) - 1.0]
+    # Sweep the distinct scores from high to low, counting the runs (tp)
+    # and not-runs (fp) examples at or above each: O(n log n) in all.
+    # (min - 1) admits every example, like the lowest score.
+    ranked = sorted(zip(scores, labels), key=lambda item: item[0], reverse=True)
+    ranked.append((min(scores) - 1.0, None))
     best: tuple[float, float, float] | None = None
-    for threshold in candidates:
-        tp = sum(1 for s, lab in zip(scores, labels) if s >= threshold and lab == LABEL_RUNS)
-        fp = sum(1 for s, lab in zip(scores, labels) if s >= threshold and lab == LABEL_NOT_RUNS)
-        fn = n_pos - tp
-        recall = tp / (tp + fn)
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        key = (recall, precision, threshold)
+    tp = fp = 0
+    for i, (score, label) in enumerate(ranked):
+        tp += label == LABEL_RUNS
+        fp += label == LABEL_NOT_RUNS
+        if i + 1 < len(ranked) and ranked[i + 1][0] == score:
+            continue  # the threshold admits every tied score at once
+        key = (tp / n_pos, tp / (tp + fp), score)
         if best is None or key > best:
             best = key
     recall, precision, threshold = best

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import tarfile
 import tempfile
@@ -139,7 +140,10 @@ class LocalProcessSandbox:
     environment holds only PATH (from the host), LANG=C.UTF-8, and HOME
     and TMPDIR pointing at the workdir.  No host profile or rc file is
     sourced and no other host variable (BASH_ENV, tokens) is passed, so a
-    command's exit code and output tails are its own.
+    command's exit code and output tails are its own.  Each command
+    leads a new session, and a timeout kills its whole process group, so
+    a forking command returns at its timeout, not when its last
+    grandchild exits.
 
     Network policy follows the host (cannot be constrained here), which
     is why this backend exists for fixtures and demos only.
@@ -175,6 +179,7 @@ class LocalProcessSandbox:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             stdin=subprocess.DEVNULL,
+            start_new_session=True,
         )
         out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
         readers = [
@@ -188,8 +193,13 @@ class LocalProcessSandbox:
             proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             timed_out = True
-            proc.kill()
-            proc.wait()
+        finally:
+            # The command leads its own process group, out of reach of the
+            # terminal's signals.  On timeout or interrupt kill the whole
+            # group, which also ends grandchildren holding the pipes open.
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
         for t in readers:
             t.join(timeout=5.0)
         duration = time.monotonic() - start

@@ -171,6 +171,37 @@ class TestFitLogistic:
         weight, _ = fit_logistic(xs, ys, l2=1e6)
         assert abs(weight) < 1e-3
 
+    def test_fit_is_a_stationary_point_of_the_regularized_loss(self):
+        # The regularized loss is convex, so a vanishing gradient makes the
+        # fitted (w, b) its global minimizer.
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(10, 41))
+            ys = np.concatenate([np.ones(5), np.zeros(5), rng.integers(0, 2, size=n - 10)])
+            xs = rng.normal(size=(n, k))
+            l2 = float(rng.uniform(1e-3, 2.0))
+            features = [PitfallFeatureVector(f"p{i}", tuple(xs[i])) for i in range(n)]
+            annotations = {f"p{i}": {"P0": "present" if ys[i] else "absent"} for i in range(n)}
+            ids = [f"P{j}" for j in range(k)]
+            model = train_assessor(features, annotations, ids, mode=MODE_FULL_VECTOR, l2=l2)
+            clf = model.classifiers[0]
+            grad_w, grad_b = logistic_gradient(np.asarray(clf.weights), clf.bias, xs, ys, l2)
+            assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-8
+
+    def test_unregularized_fit_on_separable_data_is_finite(self):
+        # With l2 = 0 the loss has no minimizer on separable data and its
+        # curvature vanishes as the weights grow; the fit must still stop.
+        weight, bias = fit_logistic([1.0 + i for i in range(5)] + [-1.0 - i for i in range(5)],
+                                    [1] * 5 + [0] * 5, l2=0.0)
+        assert np.isfinite(weight) and np.isfinite(bias)
+        assert weight > 0
+        # A feature that is zero throughout leaves the Hessian singular too.
+        features, annotations = separable_features(m=2)
+        clf = train_assessor(features, annotations, ["P1", "P2"], mode=MODE_FULL_VECTOR, l2=0.0).classifiers[0]
+        assert np.all(np.isfinite(clf.weights)) and np.isfinite(clf.bias)
+        assert clf.weights[0] > 0
+
     def test_class_guard(self):
         with pytest.raises(ClassImbalance):
             fit_logistic([1.0] * 9 + [-1.0], [1] * 9 + [0])

@@ -110,6 +110,16 @@ class TestFirstPrincipalComponent:
         lead = oracle_leading_direction(rows)
         assert abs(abs(direction @ lead) - 1.0) < 1e-8
 
+    def test_near_degenerate_eigengap_matches_oracle(self):
+        # The top two eigenvalues, 2 and 2 * 0.9994, differ by 0.06%: an
+        # iterative solver that stops on a step cap lands between e1 and e2.
+        b = np.sqrt(0.9994)
+        rows = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, b, 0], [0, -b, 0]]) + 5.0
+        direction = first_principal_component(rows)
+        lead = oracle_leading_direction(rows)
+        assert abs(lead[0]) == pytest.approx(1.0)
+        assert 1.0 - abs(direction @ lead) < 1e-9
+
     def test_explained_variance_beats_random_directions(self):
         rng = np.random.default_rng(19)
         rows = np.abs(rng.normal(size=(8, 6)))

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import tarfile
 import time
@@ -64,6 +65,27 @@ class TestLocalSandbox:
         assert step.timed_out
         assert step.exit_code == TIMEOUT_EXIT_CODE
         assert wall <= 1 + 5  # timeout plus grace
+
+    def test_timeout_kills_the_whole_process_group(self, sandbox):
+        # Both pipeline members hold the output pipes; killing only bash
+        # would leave run() waiting for them to finish on their own.
+        start = time.monotonic()
+        step = sandbox.run("echo $$; sleep 10 | cat", timeout=1, output_cap=1024)
+        wall = time.monotonic() - start
+        assert step.timed_out
+        assert wall < 2.5
+        pgid = int(step.stdout_tail.split()[0])
+        # The killed grandchildren are orphaned to init, which may reap them
+        # a moment later; until then they linger as zombies in the group.
+        # A grandchild that survived would keep the group alive for 10 s.
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the process group outlived the timeout"
+            time.sleep(0.01)
 
     def test_commands_run_in_workdir(self, sandbox):
         step = sandbox.run("pwd", 10, 1024)
