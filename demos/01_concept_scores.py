@@ -13,7 +13,7 @@ Runs fully offline using the deterministic mock embedding provider.
 import numpy as np
 
 from aekit.gateway import MockEmbeddingProvider
-from aekit.measure import PromptPair, ProbeSet, extract_concept_vector, project_score
+from aekit.measure import PromptPair, ProbeSet, extract_concept_vector, score_documents
 
 prompts = PromptPair(
     positive="This text gives precise, complete instructions that anyone can follow.",
@@ -51,8 +51,8 @@ documents = {
 }
 
 print("projection scores (higher = expresses the concept more strongly):")
-for name, text in documents.items():
-    score = project_score(provider.embed(prompts.neutral, text), concept)
+scores = score_documents(provider, prompts.neutral, list(documents.values()), concept)
+for name, score in zip(documents, scores):
     print(f"  {name:16} {score:+.4f}")
 
 print()

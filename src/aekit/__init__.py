@@ -43,8 +43,9 @@ from .measure import (
     extract_concept_vector,
     first_principal_component,
     project_score,
+    score_documents,
 )
-from .metrics import ConfusionMatrix, MetricSet, f_beta, from_percentages, metric_set
+from .metrics import ConfusionMatrix, MetricSet, count_confusion, f_beta, from_percentages, metric_set
 from .pipeline import (
     PipelineConfig,
     VerdictReport,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .jsonio import canonical_dumps
-from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector, project_score
+from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
 
 MIN_PER_CLASS = 5
 
@@ -225,7 +225,7 @@ def featurize(
     if len(bank) == 0:
         raise ValueError("pitfall bank is empty")
     scores = tuple(
-        project_score(provider.embed(entry.neutral_prompt, paper_text), entry.concept)
+        float(score_documents(provider, entry.neutral_prompt, [paper_text], entry.concept)[0])
         for entry in bank.entries
     )
     return PitfallFeatureVector(paper_id=paper_id, scores=scores)

@@ -32,8 +32,8 @@ from .corpus import (
     seeded_split,
 )
 from .jsonio import canonical_dumps, read_text, write_text
-from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector
-from .metrics import ConfusionMatrix, metric_set, render_confusion_table
+from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
+from .metrics import count_confusion, metric_set, render_confusion_table
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -70,22 +70,22 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-def _rate_train_entries(corpus_dir: str, n_train: int, seed: int):
-    loaded = load_corpus(corpus_dir)
-    subset = filter_for_stage(loaded.entries, STAGE_RATE)
+def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int):
+    """The stage's seeded training split, in train-id order."""
+    subset = filter_for_stage(load_corpus(corpus_dir).entries, stage)
     if len(subset) <= n_train:
         raise ConfigError(
-            f"rate-eligible corpus has {len(subset)} papers; need more than n_train={n_train}"
+            f"{stage}-eligible corpus has {len(subset)} papers; need more than n_train={n_train}"
         )
     split = seeded_split(subset, n_train, seed)
     by_id = {e.paper_id: e for e in subset}
-    return [by_id[pid] for pid in split.train_ids], loaded
+    return [by_id[pid] for pid in split.train_ids]
 
 
 def _cmd_extract_concept(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    train, _ = _rate_train_entries(args.corpus, args.n_train, config.seed)
+    train = _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed)
     if args.prompts:
         doc = json.loads(read_text(args.prompts))
         prompts = PromptPair(
@@ -113,18 +113,13 @@ def _cmd_calibrate(args) -> int:
     provider = build_embedding_provider(config.embedding)
     concept = ConceptVector.from_json(read_text(args.concept))
     neutral = load_default_rate_prompts().neutral
-    train, _ = _rate_train_entries(args.corpus, args.n_train, config.seed)
-
-    scores, labels = [], []
-    for entry in train:
-        gt = entry.ground_truth
-        if gt is None or gt.manually_runnable is None:
-            continue
-        doc = compose_rate_document(RateInput(entry.paper_id, entry.paper_text, entry.readme_text))
-        from .measure import project_score
-
-        scores.append(project_score(provider.embed(neutral, doc), concept))
-        labels.append(LABEL_RUNS if gt.manually_runnable else LABEL_NOT_RUNS)
+    train = [
+        e for e in _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed)
+        if e.ground_truth is not None and e.ground_truth.manually_runnable is not None
+    ]
+    docs = [compose_rate_document(RateInput(e.paper_id, e.paper_text, e.readme_text)) for e in train]
+    scores = score_documents(provider, neutral, docs, concept).tolist()
+    labels = [LABEL_RUNS if e.ground_truth.manually_runnable else LABEL_NOT_RUNS for e in train]
     cutoff = calibrate_cutoff(scores, labels)
     write_text(args.out_file, cutoff.to_json())
     n_runs = sum(1 for lab in labels if lab == LABEL_RUNS)
@@ -198,16 +193,8 @@ def _assess_features(entries, bank, provider):
 def _cmd_assess_train(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    loaded = load_corpus(args.corpus)
+    train = _train_entries(args.corpus, STAGE_ASSESS, args.n_train, config.seed)
     annotations = load_ground_truth(Path(args.annotations))
-    subset = filter_for_stage(loaded.entries, STAGE_ASSESS)
-    if len(subset) <= args.n_train:
-        raise ConfigError(
-            f"assess-eligible corpus has {len(subset)} papers; need more than n_train={args.n_train}"
-        )
-    split = seeded_split(subset, args.n_train, config.seed)
-    by_id = {e.paper_id: e for e in subset}
-    train = [by_id[pid] for pid in split.train_ids]
 
     specs = load_pitfall_specs(args.pitfalls)
     probes = ProbeSet(tuple(e.paper_text for e in train))
@@ -273,35 +260,25 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ground_truth = load_ground_truth(Path(args.ground_truth))
-    tp = fp = fn = tn = 0
+    pairs = []
     with open(args.predictions, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             doc = json.loads(line)
-            paper_id = doc["paper_id"]
-            record = ground_truth.get(paper_id)
+            record = ground_truth.get(doc["paper_id"])
             if record is None or record.manually_runnable is None:
                 continue
             if args.field == "rate":
                 label = doc["label"] if "label" in doc else (doc.get("rate") or {}).get("label")
             else:
                 label = doc.get("pipeline_label")
-            if label is None:
-                continue
-            predicted_runs = label == "runs"
-            if predicted_runs and record.manually_runnable:
-                tp += 1
-            elif predicted_runs:
-                fp += 1
-            elif record.manually_runnable:
-                fn += 1
-            else:
-                tn += 1
-    if tp + fp + fn + tn == 0:
+            if label is not None:
+                pairs.append((label == "runs", record.manually_runnable))
+    cm = count_confusion(pairs)
+    if cm.total == 0:
         raise ConfigError("no prediction lines matched annotated papers")
-    cm = ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
     ms = metric_set(cm)
     table = render_confusion_table(cm, system_label=args.field.capitalize())
     if args.out_file:

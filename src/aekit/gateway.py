@@ -174,12 +174,6 @@ class ScriptedChatProvider:
             return message
 
 
-def scripted_chat(
-    provider: ScriptedChatProvider, history: Sequence[ChatMessage]
-) -> ChatMessage:
-    return provider.next_message(history)
-
-
 # --------------------------------------------------------------------------
 # Disk cache
 # --------------------------------------------------------------------------

@@ -85,13 +85,28 @@ class ProbeSet:
 
 
 def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce to a finite 1-D float64 vector."""
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError(f"embedding must be a nonempty 1-D vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    """Coerce to a finite 1-D float64 vector: one row under :func:`_as_block`'s rules."""
+    return _as_block(np.asarray(values, dtype=np.float64)[np.newaxis])[0]
+
+
+def _as_block(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Coerce to an n x d float64 block of finite, nonempty 1-D embeddings.
+
+    A float64 block is returned as itself, not copied.
+    """
+    shapes = sorted({np.shape(row) for row in rows})
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"need embeddings of one shape, got {shapes}")
+    block = np.asarray(rows, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] == 0:
+        raise ValueError(f"embedding must be a nonempty 1-D vector, got shape {shapes[0]}")
+    if not np.isfinite(block).all():
         raise ValueError("embedding contains non-finite entries")
-    return vec
+    return block
+
+
+def _embed_block(provider: "EmbeddingProvider", prompt: str, documents: Sequence[str]) -> np.ndarray:
+    return _as_block([provider.embed(prompt, doc) for doc in documents])
 
 
 def compute_deltas(
@@ -107,19 +122,11 @@ def compute_deltas(
         raise ValueError(f"pole lists differ in length: {len(pos)} vs {len(neg)}")
     if len(pos) < 3:
         raise ValueError(f"need at least 3 probe pairs, got {len(pos)}")
-    rows = []
-    dim = None
-    for i, (p, q) in enumerate(zip(pos, neg)):
-        p = as_embedding(p)
-        q = as_embedding(q)
-        if dim is None:
-            dim = p.size
-        if p.size != dim or q.size != dim:
-            raise DimensionMismatch(
-                f"probe {i}: dimensions {p.size}/{q.size} do not match expected {dim}"
-            )
-        rows.append(np.abs(p - q))
-    return np.vstack(rows)
+    p, q = _as_block(pos), _as_block(neg)
+    if p.shape != q.shape:
+        raise DimensionMismatch(f"pole dimensions differ: {p.shape[1]} vs {q.shape[1]}")
+    deltas = p - q
+    return np.abs(deltas, out=deltas)  # in place: one n x d temporary fewer
 
 
 def first_principal_component(deltas: np.ndarray) -> np.ndarray:
@@ -245,8 +252,8 @@ def extract_concept_vector(
     probes: ProbeSet, prompts: PromptPair, provider: "EmbeddingProvider"
 ) -> ConceptVector:
     """Full extraction pipeline: embed under both poles, delta, PCA."""
-    pos = [provider.embed(prompts.positive, text) for text in probes.probes]
-    neg = [provider.embed(prompts.negative, text) for text in probes.probes]
+    pos = _embed_block(provider, prompts.positive, probes.probes)
+    neg = _embed_block(provider, prompts.negative, probes.probes)
     deltas = compute_deltas(pos, neg)
     # Free the 2n pole embeddings before the eigensolver allocates its
     # workspace, so extraction peaks at the embeddings, not at both.
@@ -261,6 +268,11 @@ def extract_concept_vector(
     )
 
 
+def _require_dim(dim: int, concept: ConceptVector) -> None:
+    if dim != concept.dim:
+        raise DimensionMismatch(f"embedding dim {dim} does not match concept dim {concept.dim}")
+
+
 def project_score(embedding: np.ndarray, concept: ConceptVector) -> float:
     """Dot product with the stored unit direction.
 
@@ -268,8 +280,25 @@ def project_score(embedding: np.ndarray, concept: ConceptVector) -> float:
     is unbounded and linear in the embedding.
     """
     vec = as_embedding(embedding)
-    if vec.size != concept.dim:
-        raise DimensionMismatch(
-            f"embedding dim {vec.size} does not match concept dim {concept.dim}"
-        )
+    _require_dim(vec.size, concept)
     return float(vec @ concept.direction)
+
+
+def score_documents(
+    provider: "EmbeddingProvider",
+    system_prompt: str,
+    documents: Sequence[str],
+    concept: ConceptVector,
+) -> np.ndarray:
+    """The one scoring path: embed each document under a prompt, then project.
+
+    Each score is bitwise equal to :func:`project_score` of the document's
+    embedding.  One matrix-vector product over the block would round
+    differently, so a score would depend on its batch and could cross a
+    cutoff between calibration and rating; hence one dot per row.
+    """
+    if not documents:
+        return np.empty(0)
+    block = _embed_block(provider, system_prompt, documents)
+    _require_dim(block.shape[1], concept)
+    return np.array([row @ concept.direction for row in block])

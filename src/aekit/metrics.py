@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .jsonio import canonical_dumps
 
@@ -67,6 +68,21 @@ class MetricSet:
                 "f2": self.f2,
             }
         )
+
+
+def count_confusion(pairs: Iterable[tuple[bool, bool]]) -> ConfusionMatrix:
+    """Tally (predicted_runs, actually_runs) pairs into a confusion matrix."""
+    tp = fp = fn = tn = 0
+    for predicted_runs, actually_runs in pairs:
+        if predicted_runs and actually_runs:
+            tp += 1
+        elif predicted_runs:
+            fp += 1
+        elif actually_runs:
+            fn += 1
+        else:
+            tn += 1
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def from_percentages(

@@ -30,7 +30,7 @@ from .gateway import (
 )
 from .jsonio import canonical_dumps, dumps_jsonl, read_text
 from .measure import ConceptVector
-from .metrics import ConfusionMatrix, metric_set, render_confusion_table
+from .metrics import ConfusionMatrix, count_confusion, metric_set, render_confusion_table
 from .prepare import (
     OUTCOME_SUCCESS,
     ArtifactBundle,
@@ -468,23 +468,13 @@ def pipeline_confusion(
     executed for them, which is the gate's prediction).  Papers without a
     runnability annotation are ignored.
     """
-    tp = fp = fn = tn = 0
+    pairs = []
     for report in reports:
         record = ground_truth.get(report.paper_id)
-        if record is None or record.manually_runnable is None:
-            continue
-        predicted_runs = report.pipeline_label == PIPELINE_RUNS
-        if predicted_runs and record.manually_runnable:
-            tp += 1
-        elif predicted_runs:
-            fp += 1
-        elif record.manually_runnable:
-            fn += 1
-        else:
-            tn += 1
-    if tp + fp + fn + tn == 0:
-        return None
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+        if record is not None and record.manually_runnable is not None:
+            pairs.append((report.pipeline_label == PIPELINE_RUNS, record.manually_runnable))
+    cm = count_confusion(pairs)
+    return cm if cm.total else None
 
 
 def render_report(

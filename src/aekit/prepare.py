@@ -66,7 +66,7 @@ ACTION: DONE <short summary of the working setup>
 ACTION: FAIL <short reason why no further corrective action is possible>
 
 Rules: one command per RUN, non-interactive commands only (no editors),
-wrap multi-step work as a single `bash -lc '...'` command.  Declare DONE
+wrap multi-step work as a single `bash -c '...'` command.  Declare DONE
 only after a command that demonstrates the artifact runs has exited 0.
 """
 

@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Sequence
 
 from .jsonio import canonical_dumps
-from .measure import ConceptVector, PromptPair, project_score
+from .measure import ConceptVector, PromptPair, score_documents
 
 LABEL_RUNS = "runs"
 LABEL_NOT_RUNS = "not_runs"
@@ -188,7 +188,7 @@ def rate_document(
     if neutral_prompt is None:
         neutral_prompt = load_default_rate_prompts().neutral
     document = compose_rate_document(input)
-    score = project_score(provider.embed(neutral_prompt, document), concept)
+    score = float(score_documents(provider, neutral_prompt, [document], concept)[0])
     label = LABEL_RUNS if score >= cutoff.threshold else LABEL_NOT_RUNS
     return RateVerdict(
         paper_id=input.paper_id,

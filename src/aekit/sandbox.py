@@ -44,8 +44,6 @@ class SnapshotFailure(RuntimeError):
 class SandboxSpec:
     backend: str = BACKEND_LOCAL
     base_image: str = DEFAULT_BASE_IMAGE
-    cpu_limit: float | None = None
-    memory_limit: str | None = None
     network: str = "allowed"
     workdir: str | None = None
     gpu: bool = False
@@ -55,8 +53,6 @@ class SandboxSpec:
             raise ValueError(f"unknown backend: {self.backend!r}")
         if self.network not in ("allowed", "denied"):
             raise ValueError(f"network must be allowed or denied, got {self.network!r}")
-        if self.cpu_limit is not None and self.cpu_limit <= 0:
-            raise ValueError("cpu_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -251,10 +247,10 @@ def _subprocess_runner(
 class ContainerSandbox:
     """Container backend driven through the engine CLI.
 
-    Lifecycle: `run -d ... sleep infinity` to create, `exec` per command,
-    `commit` to snapshot, `rm -f` to tear down.  The engine binary
-    (docker-compatible) and the runner are injectable so the command
-    sequences are testable without an engine on the host.
+    Lifecycle: `run -d ... sleep infinity` to create, `exec ... bash -c`
+    (non-login) per command, `commit` to snapshot, `rm -f` to tear down.
+    The engine binary (docker-compatible) and the runner are injectable
+    so the command sequences are testable without an engine on the host.
     """
 
     def __init__(
@@ -277,10 +273,6 @@ class ContainerSandbox:
         args = [engine, "run", "-d", "--name", self.container_name, "-w", self.workdir]
         if spec.network == "denied":
             args += ["--network", "none"]
-        if spec.cpu_limit is not None:
-            args += ["--cpus", str(spec.cpu_limit)]
-        if spec.memory_limit is not None:
-            args += ["--memory", spec.memory_limit]
         if spec.gpu:
             args += ["--gpus", "all"]
         args += [spec.base_image, "sleep", "infinity"]
@@ -303,7 +295,7 @@ class ContainerSandbox:
         self._require_open()
         if not command:
             raise ValueError("command must be nonempty")
-        args = [self.engine, "exec", self.container_name, "bash", "-lc", command]
+        args = [self.engine, "exec", self.container_name, "bash", "-c", command]
         start = time.monotonic()
         timed_out = False
         out = err = ""

@@ -138,6 +138,23 @@ class TestPipelineCommand:
         doc = json.loads(metrics_file.read_text())
         assert set(doc) == {"version", "accuracy", "precision", "recall", "f1", "f2"}
 
+    def test_evaluate_on_pipeline_reports_matches_summary(self, workspace, capsys):
+        tmp_path, corpus, config = workspace
+        build_assets(tmp_path, corpus, config)
+        out = tmp_path / "out"
+        assert run_cli("--config", config, "--out", out, "pipeline", "--corpus", corpus) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--predictions", out / "reports.jsonl",
+            "--ground-truth", corpus / "ground_truth.csv", "--field", "pipeline",
+        ) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        summary = (out / "summary.txt").read_text().splitlines()
+        start = next(i for i, line in enumerate(summary) if line.startswith("Total"))
+        table = summary[start:start + 5]
+        assert table[-1].startswith("Accuracy:")
+        assert printed[:5] == table
+
 
 class TestPrepareCommand:
     def test_prepare_bundle_with_scripted_chat(self, workspace):

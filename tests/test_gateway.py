@@ -16,7 +16,6 @@ from aekit.gateway import (
     ScriptExhausted,
     ScriptedChatProvider,
     mock_embed,
-    scripted_chat,
 )
 
 
@@ -86,8 +85,8 @@ class TestScriptedChat:
     def test_replay_order(self):
         m1, m2 = ChatMessage("assistant", "one"), ChatMessage("assistant", "two")
         provider = ScriptedChatProvider([m1, m2])
-        assert scripted_chat(provider, []) is m1
-        assert scripted_chat(provider, [m1]) is m2
+        assert provider.next_message([]) is m1
+        assert provider.next_message([m1]) is m2
 
     def test_exhaustion_raises(self):
         provider = ScriptedChatProvider([ChatMessage("assistant", "only")])

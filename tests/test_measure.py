@@ -14,6 +14,7 @@ from aekit.measure import (
     extract_concept_vector,
     first_principal_component,
     project_score,
+    score_documents,
 )
 
 from conftest import FixedEmbeddingProvider
@@ -71,6 +72,12 @@ class TestComputeDeltas:
         pos = [np.zeros(2), np.zeros(2), np.zeros(3)]
         with pytest.raises(DimensionMismatch):
             compute_deltas(pos, [np.zeros(2)] * 3)
+
+    def test_non_finite_or_non_vector_rows_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            compute_deltas([np.zeros(2), np.zeros(2), np.array([0.0, np.nan])], [np.zeros(2)] * 3)
+        with pytest.raises(ValueError, match="1-D"):
+            compute_deltas([np.zeros((2, 2))] * 3, [np.zeros((2, 2))] * 3)
 
 
 class TestFirstPrincipalComponent:
@@ -218,6 +225,29 @@ class TestProjectScore:
             rescaled = c * direction
             rescaled /= np.linalg.norm(rescaled)
             assert abs(project_score(doc, self._concept(rescaled)) - base) < 1e-12
+
+
+class TestScoreDocuments:
+    def test_each_score_is_the_single_document_projection_in_any_batch(self):
+        # At dim 1024 one matrix-vector product over the block rounds
+        # differently from the per-document dot product for most rows, so
+        # this pins the scores to project_score bit for bit.
+        rng = np.random.default_rng(41)
+        direction = rng.normal(size=1024)
+        concept = ConceptVector(direction / np.linalg.norm(direction), "c", "prov", "digest", 3)
+        provider = MockEmbeddingProvider(seed=3, dim=1024)
+        docs = [f"document {i}" for i in range(300)]
+        batch = score_documents(provider, "neutral", docs, concept)
+        assert batch.shape == (300,)
+        assert score_documents(provider, "neutral", [], concept).shape == (0,)
+        for doc, score in zip(docs, batch):
+            assert score == project_score(provider.embed("neutral", doc), concept)
+            assert score == score_documents(provider, "neutral", [doc], concept)[0]
+
+    def test_dimension_mismatch(self):
+        concept = ConceptVector(np.array([1.0, 0.0]), "c", "prov", "digest", 3)
+        with pytest.raises(DimensionMismatch):
+            score_documents(MockEmbeddingProvider(seed=1, dim=3), "p", ["doc"], concept)
 
 
 class TestTypes:

@@ -201,6 +201,8 @@ class TestContainerSandbox:
         assert verbs[0] == "version"
         assert verbs[1] == "run"
         assert "exec" in verbs
+        run_exec = [c for c in cli.calls if c[1] == "exec"][-1]
+        assert run_exec[-3:] == ["bash", "-c", "make"]
         assert "commit" in verbs
         assert verbs[-1] == "rm"
 
