@@ -17,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .jsonio import canonical_dumps
-from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
+from .measure import (
+    ConceptVector,
+    ProbeSet,
+    PromptPair,
+    _embed_block,
+    _require_dim,
+    extract_concept_vector,
+)
 
 MIN_PER_CLASS = 5
 
@@ -221,14 +228,20 @@ class PitfallFeatureVector:
 def featurize(
     paper_text: str, bank: PitfallBank, provider, paper_id: str = ""
 ) -> PitfallFeatureVector:
-    """Project one paper onto every pitfall direction in bank order."""
+    """Project one paper onto every pitfall direction in bank order.
+
+    The paper is embedded under every pitfall's neutral prompt in one
+    block; each score is one dot with that pitfall's direction, bitwise
+    equal to :func:`project_score` of the embedding.
+    """
     if len(bank) == 0:
         raise ValueError("pitfall bank is empty")
-    scores = tuple(
-        float(score_documents(provider, entry.neutral_prompt, [paper_text], entry.concept)[0])
-        for entry in bank.entries
-    )
-    return PitfallFeatureVector(paper_id=paper_id, scores=scores)
+    block = _embed_block(provider, [(e.neutral_prompt, paper_text) for e in bank.entries])
+    scores = []
+    for entry, row in zip(bank.entries, block):
+        _require_dim(row.size, entry.concept)
+        scores.append(float(row @ entry.concept.direction))
+    return PitfallFeatureVector(paper_id=paper_id, scores=tuple(scores))
 
 
 # --------------------------------------------------------------------------

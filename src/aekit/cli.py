@@ -3,7 +3,8 @@
 Subcommands: extract-concept, calibrate, rate, prepare, assess-train,
 assess, pipeline, evaluate.  Provider settings come from the --config
 file (see load_pipeline_config); --seed overrides the configured seed.
-Exit codes: 0 on batch completion, 2 on configuration errors.
+Exit codes: 0 on batch completion, 2 on configuration errors (including a
+calibration split that lacks one label class).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .pipeline import (
 from .prepare import ArtifactBundle, PrepareLimits, run_prepare_loop
 from .rate import (
     Cutoff,
+    DegenerateLabels,
     LABEL_NOT_RUNS,
     LABEL_RUNS,
     RateInput,
@@ -359,10 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, DegenerateLabels) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,8 +7,9 @@ mocks for offline runs and tests.  Everything downstream only sees the
 two small capability interfaces, never model specifics.
 
 Secrets are read from the environment variable named in the config and
-never stored or serialized.  Remote responses are cached on disk keyed by
-a content digest, so probing the same text twice costs one request.
+never stored or serialized.  Remote embeddings are requested in batches
+and cached in memory and, optionally, on disk, keyed by a content digest,
+so probing the same text twice costs one request.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ CHAT_ROLES = ("system", "user", "assistant", "tool")
 RETRY_BASE_DELAY = 1.0
 RETRY_FACTOR = 2.0
 DEFAULT_MAX_IN_FLIGHT = 4
+DEFAULT_BATCH_SIZE = 32
 
 
 class GatewayError(RuntimeError):
@@ -91,6 +93,8 @@ class ProviderConfig:
     pooling: str = "mean"
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     cache_dir: str | None = None
+    # Inputs per embeddings request; servers cap how many one may carry.
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -99,9 +103,18 @@ class ProviderConfig:
             raise ValueError("max_retries must be between 0 and 5")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 class EmbeddingProvider(Protocol):
+    """Embeds a document under a system prompt.
+
+    Providers may also offer ``embed_many(items) -> (n, d)`` over
+    ``(system_prompt, document)`` pairs; callers that embed a block use
+    it when present and fall back to one ``embed`` per item otherwise.
+    """
+
     provider_id: str
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray: ...
@@ -142,6 +155,10 @@ class MockEmbeddingProvider:
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
         return mock_embed(self.seed, self.dim, system_prompt, document)
+
+    def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
+        rows = [mock_embed(self.seed, self.dim, prompt, doc) for prompt, doc in items]
+        return np.array(rows, dtype=np.float64).reshape(len(items), self.dim)
 
 
 class ScriptedChatProvider:
@@ -247,8 +264,9 @@ class _RemoteBase:
     def _request(self, path: str, body: dict) -> dict:
         """POST with exponential backoff on transient failures.
 
-        Total requests never exceed 1 + max_retries.  Auth rejections and
-        other 4xx responses are terminal immediately.
+        Total requests never exceed 1 + max_retries.  Rate limiting (429)
+        and 5xx responses are transient; auth rejections and other 4xx
+        responses are terminal immediately.
         """
         url = self.cfg.endpoint_url.rstrip("/") + path
         headers = {"Authorization": f"Bearer {self._token()}"}
@@ -271,7 +289,7 @@ class _RemoteBase:
                     return json.loads(payload.decode("utf-8"))
                 except (ValueError, UnicodeDecodeError) as exc:
                     raise GatewayError(f"malformed provider response: {exc}") from exc
-            if status >= 500:
+            if status == 429 or status >= 500:
                 last_error = f"HTTP {status}"
                 continue
             raise GatewayError(f"provider returned HTTP {status}")
@@ -285,7 +303,10 @@ class RemoteEmbeddingProvider(_RemoteBase):
 
     The system prompt and document are rendered into one input string;
     the backend decides pooling, which is recorded in provider_id so that
-    scores from different poolings are never silently mixed.
+    scores from different poolings are never silently mixed.  Items not
+    in the cache are sent as an array ``input`` of at most
+    ``cfg.batch_size`` strings per request.  The memory cache holds
+    read-only vectors; only the disk cache stores JSON.
     """
 
     def __init__(
@@ -296,7 +317,7 @@ class RemoteEmbeddingProvider(_RemoteBase):
     ):
         super().__init__(cfg, transport, sleep)
         self.provider_id = f"{cfg.model_name}+{cfg.pooling}"
-        self._memory: dict[str, str] = {}
+        self._memory: dict[str, np.ndarray] = {}
         self._memory_lock = threading.Lock()
         self._disk = (
             ResponseCache(cfg.cache_dir, self.provider_id) if cfg.cache_dir else None
@@ -318,20 +339,54 @@ class RemoteEmbeddingProvider(_RemoteBase):
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
-        key = self._cache_key(system_prompt, document)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return self._decode(cached)
+        return self.embed_many([(system_prompt, document)])[0]
 
-        body = {
-            "model": self.cfg.model_name,
-            "input": f"{system_prompt}\n\n{document}",
-        }
-        doc = self._request("/v1/embeddings", body)
+    def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Embed ``(system_prompt, document)`` pairs as an (n, d) block, in order.
+
+        Each distinct item is looked up in the cache; the misses are
+        requested once each, in chunks of ``cfg.batch_size``.
+        """
+        if not items:
+            return np.empty((0, self._seen_dim or 0))
+        keys = [self._cache_key(prompt, doc) for prompt, doc in items]
+        vectors: dict[str, np.ndarray] = {}
+        misses: dict[str, str] = {}  # key -> wire input, first occurrence first
+        for key, (prompt, doc) in zip(keys, items):
+            if key in vectors or key in misses:
+                continue
+            hit = self._cache_get(key)
+            if hit is None:
+                misses[key] = f"{prompt}\n\n{doc}"
+            else:
+                vectors[key] = hit
+        pending = list(misses)
+        step = self.cfg.batch_size
+        for start in range(0, len(pending), step):
+            chunk = pending[start:start + step]
+            for key, vec in zip(chunk, self._fetch([misses[k] for k in chunk])):
+                self._cache_put(key, vec)
+                vectors[key] = vec
+        return np.array([vectors[key] for key in keys])
+
+    def _fetch(self, inputs: list[str]) -> list[np.ndarray]:
+        """One request for ``inputs``; rows placed by each response item's index."""
+        doc = self._request("/v1/embeddings", {"model": self.cfg.model_name, "input": inputs})
         try:
-            values = doc["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
+            data = doc["data"]
+            indexes = [item.get("index", pos) for pos, item in enumerate(data)]
+            values = [item["embedding"] for item in data]
+        except (KeyError, TypeError, AttributeError) as exc:
             raise GatewayError(f"embedding missing from response: {exc}") from exc
+        if any(type(i) is not int for i in indexes) or sorted(indexes) != list(range(len(inputs))):
+            raise GatewayError(
+                f"response indexes {indexes} do not cover inputs 0..{len(inputs) - 1} once each"
+            )
+        by_index = dict(zip(indexes, values))
+        return [self._checked(by_index[i]) for i in range(len(inputs))]
+
+    def _checked(self, values) -> np.ndarray:
+        """A read-only embedding of the configuration's one dimension."""
         vec = as_embedding(values)
         if self._seen_dim is None:
             self._seen_dim = vec.size
@@ -339,31 +394,27 @@ class RemoteEmbeddingProvider(_RemoteBase):
             raise EmbeddingDimensionMismatch(
                 f"expected dim {self._seen_dim}, response has {vec.size}"
             )
-        encoded = canonical_dumps({"embedding": [float(v) for v in vec]})
-        self._cache_put(key, encoded)
-        return self._decode(encoded)
+        vec.setflags(write=False)
+        return vec
 
-    def _cache_get(self, key: str) -> str | None:
+    def _cache_get(self, key: str) -> np.ndarray | None:
         with self._memory_lock:
             if key in self._memory:
                 return self._memory[key]
         if self._disk is not None:
             hit = self._disk.get(key)
             if hit is not None:
+                vec = self._checked(json.loads(hit)["embedding"])
                 with self._memory_lock:
-                    self._memory[key] = hit
-                return hit
+                    self._memory[key] = vec
+                return vec
         return None
 
-    def _cache_put(self, key: str, encoded: str) -> None:
+    def _cache_put(self, key: str, vec: np.ndarray) -> None:
         with self._memory_lock:
-            self._memory[key] = encoded
+            self._memory[key] = vec
         if self._disk is not None:
-            self._disk.put(key, encoded)
-
-    @staticmethod
-    def _decode(encoded: str) -> np.ndarray:
-        return as_embedding(json.loads(encoded)["embedding"])
+            self._disk.put(key, canonical_dumps({"embedding": vec.tolist()}))
 
 
 class RemoteChatProvider(_RemoteBase):

@@ -105,8 +105,16 @@ def _as_block(rows: Sequence[np.ndarray]) -> np.ndarray:
     return block
 
 
-def _embed_block(provider: "EmbeddingProvider", prompt: str, documents: Sequence[str]) -> np.ndarray:
-    return _as_block([provider.embed(prompt, doc) for doc in documents])
+def _embed_block(provider: "EmbeddingProvider", items: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Embed ``(system_prompt, document)`` pairs as one checked n x d block.
+
+    One ``embed_many`` call where the provider has it, else one ``embed``
+    per item.
+    """
+    embed_many = getattr(provider, "embed_many", None)
+    if embed_many is None:
+        return _as_block([provider.embed(prompt, doc) for prompt, doc in items])
+    return _as_block(embed_many(items))
 
 
 def compute_deltas(
@@ -252,8 +260,8 @@ def extract_concept_vector(
     probes: ProbeSet, prompts: PromptPair, provider: "EmbeddingProvider"
 ) -> ConceptVector:
     """Full extraction pipeline: embed under both poles, delta, PCA."""
-    pos = _embed_block(provider, prompts.positive, probes.probes)
-    neg = _embed_block(provider, prompts.negative, probes.probes)
+    pos = _embed_block(provider, [(prompts.positive, p) for p in probes.probes])
+    neg = _embed_block(provider, [(prompts.negative, p) for p in probes.probes])
     deltas = compute_deltas(pos, neg)
     # Free the 2n pole embeddings before the eigensolver allocates its
     # workspace, so extraction peaks at the embeddings, not at both.
@@ -299,6 +307,6 @@ def score_documents(
     """
     if not documents:
         return np.empty(0)
-    block = _embed_block(provider, system_prompt, documents)
+    block = _embed_block(provider, [(system_prompt, doc) for doc in documents])
     _require_dim(block.shape[1], concept)
     return np.array([row @ concept.direction for row in block])

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 from .assess import AssessorModel, PitfallBank, PitfallReport, assess_document
 from .corpus import CorpusEntry, GroundTruthRecord
 from .gateway import (
+    DEFAULT_BATCH_SIZE,
     ChatMessage,
     ChatProvider,
     EmbeddingProvider,
@@ -117,6 +118,7 @@ def _provider_config(section: configparser.SectionProxy) -> ProviderConfig:
         embedding_dim=section.getint("embedding_dim", fallback=None),
         pooling=section.get("pooling", "mean"),
         cache_dir=section.get("cache_dir", fallback=None),
+        batch_size=section.getint("batch_size", DEFAULT_BATCH_SIZE),
     )
 
 

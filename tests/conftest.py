@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from aekit.gateway import ChatMessage
+from aekit.gateway import ChatMessage, mock_embed
 
 
 class FixedEmbeddingProvider:
@@ -22,6 +24,31 @@ class FixedEmbeddingProvider:
         if document in self.table:
             return np.asarray(self.table[document], dtype=float)
         return self.default.copy()
+
+
+class VectorTransport:
+    """An embeddings endpoint answering string or array ``input``.
+
+    Each input string gets a fixed pseudo-random vector; every request's
+    inputs are recorded, one list per request.
+    """
+
+    def __init__(self, dim=4):
+        self.dim = dim
+        self.requests = []
+
+    def vector(self, text):
+        return mock_embed(0, self.dim, "transport", text)
+
+    def __call__(self, url, headers, body, timeout):
+        inputs = body["input"]
+        inputs = [inputs] if isinstance(inputs, str) else list(inputs)
+        self.requests.append(inputs)
+        data = [
+            {"index": i, "embedding": self.vector(text).tolist()}
+            for i, text in enumerate(inputs)
+        ]
+        return 200, json.dumps({"data": data}).encode()
 
 
 class CountingChat:

@@ -28,10 +28,10 @@ from aekit.assess import (
     sigmoid,
     train_assessor,
 )
-from aekit.gateway import MockEmbeddingProvider
+from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import ConceptVector, ProbeSet, PromptPair, project_score
 
-from conftest import FixedEmbeddingProvider
+from conftest import FixedEmbeddingProvider, VectorTransport
 
 PROBES = ProbeSet(("probe one", "probe two", "probe three", "probe four"))
 
@@ -136,6 +136,37 @@ class TestFeaturize:
                 provider.embed(entry.neutral_prompt, "target paper"), entry.concept
             )
             assert abs(got - expected) < 1e-12
+
+    def test_remote_provider_gets_one_request_per_paper(self, monkeypatch):
+        monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+        bank = build_pitfall_bank(make_specs(10), PROBES, MockEmbeddingProvider(seed=2, dim=32))
+        transport = VectorTransport(dim=32)
+        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN")
+        provider = RemoteEmbeddingProvider(cfg, transport)
+        fv = featurize("a paper", bank, provider)
+        assert len(transport.requests) == 1
+        assert len(transport.requests[0]) == 10
+        for entry, got in zip(bank.entries, fv.scores):
+            assert got == project_score(provider.embed(entry.neutral_prompt, "a paper"), entry.concept)
+        assert len(transport.requests) == 1
+
+    def test_embed_only_provider_gives_the_same_scores(self):
+        mock = MockEmbeddingProvider(seed=9, dim=12)
+
+        class EmbedOnly:
+            provider_id = mock.provider_id
+
+            def embed(self, system_prompt, document):
+                return mock.embed(system_prompt, document)
+
+        bank = build_pitfall_bank(make_specs(3), PROBES, mock)
+        assert featurize("target", bank, EmbedOnly()) == featurize("target", bank, mock)
+        assert build_pitfall_bank(make_specs(3), PROBES, EmbedOnly()) == bank
+
+    def test_entry_dimension_checked(self):
+        bank = axis_bank(2, 4)
+        with pytest.raises(ValueError):
+            featurize("paper", bank, FixedEmbeddingProvider(dim=5, default=np.ones(5)))
 
 
 class TestFitLogistic:

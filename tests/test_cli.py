@@ -196,6 +196,27 @@ class TestConfigErrors:
             "--config", config, "pipeline", "--corpus", mock_corpus_path
         ) == EXIT_CONFIG
 
+    def test_calibration_split_without_both_labels_exits_2(self, workspace, capsys):
+        tmp_path, corpus, config = workspace
+        gt = corpus / "ground_truth.csv"
+        rows = [line.split(",") for line in gt.read_text().splitlines()]
+        column = rows[0].index("manually_runnable")
+        for row in rows[1:]:
+            row[column] = ""
+        gt.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert run_cli(
+            "--config", config, "extract-concept", "--corpus", corpus,
+            "--n-train", "3", "--out-file", tmp_path / "concept.json",
+        ) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(
+            "--config", config, "calibrate", "--corpus", corpus,
+            "--concept", tmp_path / "concept.json", "--n-train", "3",
+            "--out-file", tmp_path / "cutoff.json",
+        ) == EXIT_CONFIG
+        assert "configuration error: calibration needs both" in capsys.readouterr().err
+        assert not (tmp_path / "cutoff.json").exists()
+
     def test_bundle_without_source_ref_exits_2(self, workspace):
         tmp_path, corpus, config = workspace
         bundle = tmp_path / "empty-bundle"

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from aekit.gateway import (
+    DEFAULT_BATCH_SIZE,
     AuthFailure,
     ChatMessage,
     EmbeddingDimensionMismatch,
@@ -17,6 +19,10 @@ from aekit.gateway import (
     ScriptedChatProvider,
     mock_embed,
 )
+from aekit.jsonio import canonical_dumps
+from aekit.pipeline import ConfigError, load_pipeline_config
+
+from conftest import VectorTransport
 
 
 class FakeTransport:
@@ -38,6 +44,11 @@ class FakeTransport:
 
 def embedding_body(values):
     return json.dumps({"data": [{"embedding": values}]}).encode()
+
+
+def batch_body(rows, indexes):
+    data = [{"index": i, "embedding": row} for i, row in zip(indexes, rows)]
+    return json.dumps({"data": data}).encode()
 
 
 def make_cfg(**overrides):
@@ -135,6 +146,14 @@ class TestRemoteEmbeddings:
         assert len(transport.requests) == 3
         assert sleeps == [1.0, 2.0]  # exponential backoff, base 1s, factor 2
 
+    def test_rate_limit_is_retried_with_backoff(self):
+        transport = FakeTransport([(429, b""), (200, embedding_body([1.0, 2.0]))])
+        sleeps = []
+        provider = RemoteEmbeddingProvider(make_cfg(), transport, sleep=sleeps.append)
+        assert np.array_equal(provider.embed("sys", "doc"), [1.0, 2.0])
+        assert len(transport.requests) == 2
+        assert sleeps == [1.0]
+
     def test_auth_failure_is_not_retried(self):
         transport = FakeTransport([(401, b"")])
         provider = RemoteEmbeddingProvider(make_cfg(), transport)
@@ -186,6 +205,33 @@ class TestRemoteEmbeddings:
         replay = RemoteEmbeddingProvider(cfg, FakeTransport([]))
         assert np.array_equal(replay.embed("sys", "doc"), vec)
 
+    def test_disk_cache_format_is_unchanged_and_replays(self, tmp_path):
+        cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
+        values = [0.5, -0.25, 0.1, 1e-300]
+        RemoteEmbeddingProvider(cfg, FakeTransport([(200, embedding_body(values))])).embed(
+            "sys", "doc"
+        )
+        key = hashlib.sha256(
+            canonical_dumps(
+                {
+                    "kind": "embeddings",
+                    "model": "test-model",
+                    "pooling": "mean",
+                    "system_prompt": "sys",
+                    "document": "doc",
+                }
+            ).encode("utf-8")
+        ).hexdigest()
+        path = tmp_path / "cache" / "test-model+mean" / f"{key}.json"
+        assert path.read_bytes() == b'{"embedding":[0.5,-0.25,0.1,1e-300]}'
+
+        # A file in that format replays with no request, batched or not.
+        transport = FakeTransport([])
+        replay = RemoteEmbeddingProvider(cfg, transport)
+        block = replay.embed_many([("sys", "doc"), ("sys", "doc")])
+        assert np.array_equal(block, [values, values])
+        assert transport.requests == []
+
     def test_no_secret_in_emitted_files(self, tmp_path):
         cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
         transport = FakeTransport([(200, embedding_body([0.5]))])
@@ -197,6 +243,90 @@ class TestRemoteEmbeddings:
     def test_no_secret_in_config_repr(self):
         cfg = make_cfg()
         assert "s3cr3t-token-value" not in repr(cfg)
+
+
+class TestRemoteEmbeddingBatches:
+    ITEMS = [("prompt a", "doc 1"), ("prompt b", "doc 1"), ("prompt a", "doc 2"),
+             ("prompt c", "doc 3"), ("prompt b", "doc 4")]
+
+    def test_batched_rows_equal_per_item_rows(self):
+        batched = RemoteEmbeddingProvider(make_cfg(), VectorTransport())
+        single = RemoteEmbeddingProvider(make_cfg(), VectorTransport())
+        block = batched.embed_many(self.ITEMS)
+        assert block.shape == (len(self.ITEMS), 4)
+        for row, (prompt, doc) in zip(block, self.ITEMS):
+            assert np.array_equal(row, single.embed(prompt, doc))
+            assert np.array_equal(row, VectorTransport().vector(f"{prompt}\n\n{doc}"))
+
+    def test_only_misses_are_sent(self):
+        transport = VectorTransport()
+        provider = RemoteEmbeddingProvider(make_cfg(), transport)
+        provider.embed_many(self.ITEMS[1:3])
+        block = provider.embed_many(self.ITEMS)
+        assert transport.requests[1] == ["prompt a\n\ndoc 1", "prompt c\n\ndoc 3",
+                                          "prompt b\n\ndoc 4"]
+        assert np.array_equal(block[1:3], provider.embed_many(self.ITEMS[1:3]))
+        assert len(transport.requests) == 2
+
+    def test_duplicate_items_are_sent_once(self):
+        transport = VectorTransport()
+        provider = RemoteEmbeddingProvider(make_cfg(), transport)
+        block = provider.embed_many([("p", "x"), ("p", "y"), ("p", "x")])
+        assert transport.requests == [["p\n\nx", "p\n\ny"]]
+        assert np.array_equal(block[0], block[2])
+
+    @pytest.mark.parametrize("batch_size, n, sizes", [(None, 70, [32, 32, 6]), (2, 5, [2, 2, 1])])
+    def test_misses_are_sent_in_chunks_of_batch_size(self, batch_size, n, sizes):
+        transport = VectorTransport()
+        cfg = make_cfg() if batch_size is None else make_cfg(batch_size=batch_size)
+        provider = RemoteEmbeddingProvider(cfg, transport)
+        items = [(f"prompt {i % 3}", f"doc {i}") for i in range(n)]
+        block = provider.embed_many(items)
+        assert DEFAULT_BATCH_SIZE == 32
+        assert [len(r) for r in transport.requests] == sizes
+        assert [t for r in transport.requests for t in r] == [f"{p}\n\n{d}" for p, d in items]
+        assert np.array_equal(block, [transport.vector(f"{p}\n\n{d}") for p, d in items])
+
+    def test_rows_are_placed_by_response_index(self):
+        rows = [[0.0, 2.0], [1.0, 0.0], [0.0, 1.0]]
+        transport = FakeTransport([(200, batch_body(rows, [2, 0, 1]))])
+        provider = RemoteEmbeddingProvider(make_cfg(), transport)
+        block = provider.embed_many([("p", "a"), ("p", "b"), ("p", "c")])
+        assert np.array_equal(block, [[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        assert transport.requests[0]["body"]["input"] == ["p\n\na", "p\n\nb", "p\n\nc"]
+
+    @pytest.mark.parametrize("indexes", [[0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 3], ["0", 1, 2]])
+    def test_indexes_other_than_each_input_once_rejected(self, indexes):
+        body = batch_body([[1.0, 0.0]] * len(indexes), indexes)
+        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, body)]))
+        with pytest.raises(GatewayError):
+            provider.embed_many([("p", "a"), ("p", "b"), ("p", "c")])
+
+    def test_row_dimension_checked_in_a_batch(self):
+        body = batch_body([[1.0, 0.0], [1.0, 0.0, 0.0]], [0, 1])
+        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, body)]))
+        with pytest.raises(EmbeddingDimensionMismatch):
+            provider.embed_many([("p", "a"), ("p", "b")])
+
+    def test_returned_rows_do_not_alias_the_cache(self):
+        provider = RemoteEmbeddingProvider(make_cfg(), VectorTransport())
+        first = provider.embed("p", "a")
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(provider.embed("p", "a"), expected)
+
+    def test_empty_batch_sends_nothing(self):
+        transport = FakeTransport([])
+        block = RemoteEmbeddingProvider(make_cfg(embedding_dim=3), transport).embed_many([])
+        assert block.shape == (0, 3)
+        assert transport.requests == []
+
+    def test_mock_batch_equals_mock_embed(self):
+        provider = MockEmbeddingProvider(seed=4, dim=16)
+        block = provider.embed_many(self.ITEMS)
+        for row, (prompt, doc) in zip(block, self.ITEMS):
+            assert np.array_equal(row, mock_embed(4, 16, prompt, doc))
+        assert provider.embed_many([]).shape == (0, 16)
 
 
 class TestRemoteChat:
@@ -238,3 +368,13 @@ class TestProviderConfig:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
             make_cfg(timeout=0)
+
+    def test_rejects_batch_size_below_one(self, tmp_path):
+        with pytest.raises(ValueError):
+            make_cfg(batch_size=0)
+        ini = tmp_path / "aekit.ini"
+        ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nbatch_size = 0\n")
+        with pytest.raises(ConfigError):
+            load_pipeline_config(ini)
+        ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nbatch_size = 8\n")
+        assert load_pipeline_config(ini).embedding.remote.batch_size == 8

@@ -1,6 +1,10 @@
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from aekit.gateway import ProviderConfig, RemoteEmbeddingProvider
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -10,3 +14,22 @@ def test_every_traced_library_target_exists(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     assert tracing.missing_targets() == set()
+
+
+def test_remote_provider_batches_against_the_benchmark_server(monkeypatch):
+    # The score workload's oracles assume the wire input string and the
+    # array-input batching the provider uses; this pins both.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("AEKIT_TEST_TOKEN", "token")
+    fakeserver = importlib.import_module("fakeserver")
+    workloads = importlib.import_module("workloads")
+    server = fakeserver.FakeServer(seed=5, dim=16, token="token")
+    cfg = ProviderConfig("http://fake.invalid", "m", auth_token_env="AEKIT_TEST_TOKEN", batch_size=32)
+    provider = RemoteEmbeddingProvider(cfg, transport=server)
+    items = [(f"prompt {i % 4}", f"document {i}") for i in range(40)]
+    block = provider.embed_many(items)
+    for row, (prompt, doc) in zip(block, items):
+        assert np.array_equal(row, server.vector(workloads.wire_input(prompt, doc)))
+    counters = server.counters()
+    assert counters.embed_requests == 2
+    assert counters.embed_items == 40
