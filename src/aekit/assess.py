@@ -21,8 +21,7 @@ from .measure import (
     ConceptVector,
     ProbeSet,
     PromptPair,
-    _embed_block,
-    _require_dim,
+    _score_items,
     extract_concept_vector,
 )
 
@@ -236,12 +235,12 @@ def featurize(
     """
     if len(bank) == 0:
         raise ValueError("pitfall bank is empty")
-    block = _embed_block(provider, [(e.neutral_prompt, paper_text) for e in bank.entries])
-    scores = []
-    for entry, row in zip(bank.entries, block):
-        _require_dim(row.size, entry.concept)
-        scores.append(float(row @ entry.concept.direction))
-    return PitfallFeatureVector(paper_id=paper_id, scores=tuple(scores))
+    scores = _score_items(
+        provider,
+        [(e.neutral_prompt, paper_text) for e in bank.entries],
+        [e.concept for e in bank.entries],
+    )
+    return PitfallFeatureVector(paper_id=paper_id, scores=tuple(float(s) for s in scores))
 
 
 # --------------------------------------------------------------------------

@@ -156,10 +156,6 @@ class MockEmbeddingProvider:
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
         return mock_embed(self.seed, self.dim, system_prompt, document)
 
-    def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
-        rows = [mock_embed(self.seed, self.dim, prompt, doc) for prompt, doc in items]
-        return np.array(rows, dtype=np.float64).reshape(len(items), self.dim)
-
 
 class ScriptedChatProvider:
     """Replays a fixed list of assistant messages, ignoring history.

@@ -307,6 +307,23 @@ def score_documents(
     """
     if not documents:
         return np.empty(0)
-    block = _embed_block(provider, [(system_prompt, doc) for doc in documents])
-    _require_dim(block.shape[1], concept)
-    return np.array([row @ concept.direction for row in block])
+    items = [(system_prompt, doc) for doc in documents]
+    return _score_items(provider, items, [concept] * len(items))
+
+
+def _score_items(
+    provider: "EmbeddingProvider",
+    items: Sequence[tuple[str, str]],
+    concepts: Sequence[ConceptVector],
+) -> np.ndarray:
+    """Embed ``(system_prompt, document)`` pairs as one block, then project.
+
+    Row i is dotted with ``concepts[i]``, one dot per row, so each score
+    is bitwise equal to :func:`project_score` (see :func:`score_documents`).
+    """
+    block = _embed_block(provider, items)
+    scores = np.empty(len(items))
+    for i, (row, concept) in enumerate(zip(block, concepts)):
+        _require_dim(row.size, concept)
+        scores[i] = row @ concept.direction
+    return scores

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -118,7 +118,6 @@ def _provider_config(section: configparser.SectionProxy) -> ProviderConfig:
         embedding_dim=section.getint("embedding_dim", fallback=None),
         pooling=section.get("pooling", "mean"),
         cache_dir=section.get("cache_dir", fallback=None),
-        batch_size=section.getint("batch_size", DEFAULT_BATCH_SIZE),
     )
 
 
@@ -138,7 +137,11 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
                     kind="mock", seed=sec.getint("seed", 0), dim=sec.getint("dim", 64)
                 )
             elif kind == "remote":
-                embedding = EmbeddingSettings(kind="remote", remote=_provider_config(sec))
+                remote = replace(
+                    _provider_config(sec),
+                    batch_size=sec.getint("batch_size", DEFAULT_BATCH_SIZE),
+                )
+                embedding = EmbeddingSettings(kind="remote", remote=remote)
             else:
                 raise ConfigError(f"unknown embedding kind: {kind!r}")
 

@@ -321,13 +321,6 @@ class TestRemoteEmbeddingBatches:
         assert block.shape == (0, 3)
         assert transport.requests == []
 
-    def test_mock_batch_equals_mock_embed(self):
-        provider = MockEmbeddingProvider(seed=4, dim=16)
-        block = provider.embed_many(self.ITEMS)
-        for row, (prompt, doc) in zip(block, self.ITEMS):
-            assert np.array_equal(row, mock_embed(4, 16, prompt, doc))
-        assert provider.embed_many([]).shape == (0, 16)
-
 
 class TestRemoteChat:
     def test_returns_assistant_message(self):
@@ -378,3 +371,6 @@ class TestProviderConfig:
             load_pipeline_config(ini)
         ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nbatch_size = 8\n")
         assert load_pipeline_config(ini).embedding.remote.batch_size == 8
+        # Only embeddings are batched; the chat section has no such setting.
+        ini.write_text("[chat]\nkind = remote\nendpoint_url = http://x\nbatch_size = 0\n")
+        assert load_pipeline_config(ini).chat.remote.batch_size == DEFAULT_BATCH_SIZE
