@@ -322,17 +322,32 @@ class RemoteEmbeddingProvider(_RemoteBase):
         # when embedding_dim was left unconfigured.
         self._seen_dim: int | None = cfg.embedding_dim
 
-    def _cache_key(self, system_prompt: str, document: str) -> str:
-        payload = canonical_dumps(
-            {
-                "kind": "embeddings",
-                "model": self.cfg.model_name,
-                "pooling": self.cfg.pooling,
-                "system_prompt": system_prompt,
-                "document": document,
-            }
+    def _cache_keys(self, items: Sequence[tuple[str, str]]) -> list[str]:
+        """The cache key of each item, in order.
+
+        A key is the sha256 of the canonical JSON of ``{"document",
+        "kind", "model", "pooling", "system_prompt"}``.  Sorted keys put
+        the document first, so each distinct document is encoded and
+        hashed once per call, and each item only hashes its prompt's
+        suffix onto a copy of that state.
+        """
+        head = (
+            ',"kind":"embeddings","model":' + canonical_dumps(self.cfg.model_name)
+            + ',"pooling":' + canonical_dumps(self.cfg.pooling)
+            + ',"system_prompt":'
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        prefixes = {}  # document -> sha256 state after its prefix
+        keys = []
+        for prompt, doc in items:
+            prefix = prefixes.get(doc)
+            if prefix is None:
+                prefix = hashlib.sha256(b'{"document":')
+                prefix.update(canonical_dumps(doc).encode("utf-8"))
+                prefixes[doc] = prefix
+            digest = prefix.copy()
+            digest.update((head + canonical_dumps(prompt) + "}").encode("utf-8"))
+            keys.append(digest.hexdigest())
+        return keys
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
         return self.embed_many([(system_prompt, document)])[0]
@@ -345,7 +360,7 @@ class RemoteEmbeddingProvider(_RemoteBase):
         """
         if not items:
             return np.empty((0, self._seen_dim or 0))
-        keys = [self._cache_key(prompt, doc) for prompt, doc in items]
+        keys = self._cache_keys(items)
         vectors: dict[str, np.ndarray] = {}
         misses: dict[str, str] = {}  # key -> wire input, first occurrence first
         for key, (prompt, doc) in zip(keys, items):

@@ -10,12 +10,12 @@ can snapshot the prepared environment (image commit or tar archive).
 from __future__ import annotations
 
 import os
+import selectors
 import shutil
 import signal
 import subprocess
 import tarfile
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +26,13 @@ BACKEND_CONTAINER = "container"
 
 DEFAULT_BASE_IMAGE = "nvidia/cuda:12.4.1-runtime-ubuntu22.04"
 TIMEOUT_EXIT_CODE = -1
+
+READ_BYTES = 65536
+# How often a command's exit is checked while a background child keeps
+# its output pipes open.
+EXIT_POLL_S = 0.05
+# What a pipe can hold unless the host raised fs.pipe-max-size.
+PIPE_MAX_BYTES = 1 << 20
 
 
 class SandboxClosed(RuntimeError):
@@ -111,12 +118,45 @@ class _TailBuffer:
         return bytes(self._buf).decode("utf-8", errors="replace")
 
 
-def _drain(stream, buf: _TailBuffer) -> None:
-    while True:
-        chunk = stream.read(65536)
+def _read_until_exit(proc: subprocess.Popen, bufs: dict[int, _TailBuffer], deadline: float) -> bool:
+    """Feed the output pipes into their buffers until the command exits.
+
+    Returns True if the deadline passes first.  Reading stops when the
+    shell exits even if a background child still holds a pipe open.
+    """
+    with selectors.DefaultSelector() as sel:
+        for fd, buf in bufs.items():
+            os.set_blocking(fd, False)
+            sel.register(fd, selectors.EVENT_READ, buf)
+        while sel.get_map() and proc.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return True
+            for key, _ in sel.select(min(remaining, EXIT_POLL_S)):
+                chunk = os.read(key.fd, READ_BYTES)
+                if chunk:
+                    key.data.feed(chunk)
+                else:
+                    sel.unregister(key.fd)
+    try:
+        proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+    except subprocess.TimeoutExpired:
+        return True
+    return False
+
+
+def _take_buffered(fd: int, buf: _TailBuffer) -> None:
+    """Take what a non-blocking pipe holds now, without waiting for EOF."""
+    taken = 0
+    while taken < PIPE_MAX_BYTES:
+        try:
+            chunk = os.read(fd, READ_BYTES)
+        except BlockingIOError:
+            return
         if not chunk:
             return
         buf.feed(chunk)
+        taken += len(chunk)
 
 
 def _sandbox_env(workdir: Path) -> dict[str, str]:
@@ -139,7 +179,9 @@ class LocalProcessSandbox:
     command's exit code and output tails are its own.  Each command
     leads a new session, and a timeout kills its whole process group, so
     a forking command returns at its timeout, not when its last
-    grandchild exits.
+    grandchild exits.  A command returns once its shell exits, with what
+    its pipes hold by then; background children it leaves running are
+    not waited for.
 
     Network policy follows the host (cannot be constrained here), which
     is why this backend exists for fixtures and demos only.
@@ -168,7 +210,9 @@ class LocalProcessSandbox:
         if not command:
             raise ValueError("command must be nonempty")
         start = time.monotonic()
-        proc = subprocess.Popen(
+        out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
+        # Leaving the block closes both pipes.
+        with subprocess.Popen(
             ["bash", "-c", command],
             cwd=self.workdir,
             env=_sandbox_env(self.workdir),
@@ -176,28 +220,20 @@ class LocalProcessSandbox:
             stderr=subprocess.PIPE,
             stdin=subprocess.DEVNULL,
             start_new_session=True,
-        )
-        out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
-        readers = [
-            threading.Thread(target=_drain, args=(proc.stdout, out_buf), daemon=True),
-            threading.Thread(target=_drain, args=(proc.stderr, err_buf), daemon=True),
-        ]
-        for t in readers:
-            t.start()
-        timed_out = False
-        try:
-            proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            timed_out = True
-        finally:
-            # The command leads its own process group, out of reach of the
-            # terminal's signals.  On timeout or interrupt kill the whole
-            # group, which also ends grandchildren holding the pipes open.
-            if proc.returncode is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-        for t in readers:
-            t.join(timeout=5.0)
+        ) as proc:
+            bufs = {proc.stdout.fileno(): out_buf, proc.stderr.fileno(): err_buf}
+            try:
+                timed_out = _read_until_exit(proc, bufs, start + timeout)
+            finally:
+                # The command leads its own process group, out of reach of
+                # the terminal's signals.  On timeout or interrupt kill the
+                # whole group, which also ends grandchildren holding the
+                # pipes open.
+                if proc.returncode is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
+            for fd, buf in bufs.items():
+                _take_buffered(fd, buf)
         duration = time.monotonic() - start
         return CommandStep(
             command=command,

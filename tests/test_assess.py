@@ -28,7 +28,9 @@ from aekit.assess import (
     sigmoid,
     train_assessor,
 )
+from aekit import gateway
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
+from aekit.jsonio import canonical_dumps
 from aekit.measure import ConceptVector, ProbeSet, PromptPair, project_score
 
 from conftest import FixedEmbeddingProvider, VectorTransport
@@ -149,6 +151,23 @@ class TestFeaturize:
         for entry, got in zip(bank.entries, fv.scores):
             assert got == project_score(provider.embed(entry.neutral_prompt, "a paper"), entry.concept)
         assert len(transport.requests) == 1
+
+    def test_remote_provider_encodes_the_paper_once(self, monkeypatch):
+        monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+        bank = build_pitfall_bank(make_specs(10), PROBES, MockEmbeddingProvider(seed=2, dim=32))
+        paper = "a paper, " * 1000
+        outputs = []
+
+        def counting_dumps(obj):
+            outputs.append(canonical_dumps(obj))
+            return outputs[-1]
+
+        monkeypatch.setattr(gateway, "canonical_dumps", counting_dumps)
+        transport = VectorTransport(dim=32)
+        transport.vector = lambda text: np.ones(32)  # mock_embed would count too
+        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN")
+        featurize(paper, bank, RemoteEmbeddingProvider(cfg, transport))
+        assert sum(paper in text for text in outputs) == 1
 
     def test_embed_only_provider_gives_the_same_scores(self):
         mock = MockEmbeddingProvider(seed=9, dim=12)

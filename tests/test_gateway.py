@@ -205,31 +205,52 @@ class TestRemoteEmbeddings:
         replay = RemoteEmbeddingProvider(cfg, FakeTransport([]))
         assert np.array_equal(replay.embed("sys", "doc"), vec)
 
-    def test_disk_cache_format_is_unchanged_and_replays(self, tmp_path):
-        cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
-        values = [0.5, -0.25, 0.1, 1e-300]
-        RemoteEmbeddingProvider(cfg, FakeTransport([(200, embedding_body(values))])).embed(
-            "sys", "doc"
-        )
-        key = hashlib.sha256(
-            canonical_dumps(
-                {
-                    "kind": "embeddings",
-                    "model": "test-model",
-                    "pooling": "mean",
-                    "system_prompt": "sys",
-                    "document": "doc",
-                }
-            ).encode("utf-8")
-        ).hexdigest()
-        path = tmp_path / "cache" / "test-model+mean" / f"{key}.json"
-        assert path.read_bytes() == b'{"embedding":[0.5,-0.25,0.1,1e-300]}'
+    ODD = 'q"b\\s\nl\u2028z\x00\u00e9\U0001d11e'
 
-        # A file in that format replays with no request, batched or not.
+    @pytest.mark.parametrize(
+        "model_name, pooling, items",
+        [
+            ("test-model", "mean", [("sys", "doc")]),
+            (
+                'mo"del-\u00e9',
+                'po"ol-\U0001d11e',
+                # One document under several prompts, one prompt over
+                # several documents, the empty prompt and the empty document.
+                [("", ODD), ("sys", ODD), (ODD, ODD), ("sys", "doc"),
+                 ("sys", ""), ("sys", ODD + "2"), ("", "doc")],
+            ),
+        ],
+        ids=["plain", "mixed-escapes"],
+    )
+    def test_disk_cache_format_is_unchanged_and_replays(self, tmp_path, model_name, pooling, items):
+        cfg = make_cfg(model_name=model_name, pooling=pooling, cache_dir=str(tmp_path / "cache"))
+        rows = [[0.5, -0.25, 0.1, (i + 1) * 1e-300] for i in range(len(items))]
+        transport = FakeTransport([(200, batch_body(rows, range(len(items))))])
+        RemoteEmbeddingProvider(cfg, transport).embed_many(items)
+        assert len(transport.requests) == 1
+
+        expected = {}
+        for i, (prompt, doc) in enumerate(items):
+            key = hashlib.sha256(
+                canonical_dumps(
+                    {
+                        "kind": "embeddings",
+                        "model": model_name,
+                        "pooling": pooling,
+                        "system_prompt": prompt,
+                        "document": doc,
+                    }
+                ).encode("utf-8")
+            ).hexdigest()
+            expected[f"{key}.json"] = f'{{"embedding":[0.5,-0.25,0.1,{i + 1}e-300]}}'.encode()
+        cache = tmp_path / "cache" / f"{model_name}+{pooling}"
+        assert {path.name: path.read_bytes() for path in cache.iterdir()} == expected
+
+        # Files in that format replay with no request, batched or not.
         transport = FakeTransport([])
         replay = RemoteEmbeddingProvider(cfg, transport)
-        block = replay.embed_many([("sys", "doc"), ("sys", "doc")])
-        assert np.array_equal(block, [values, values])
+        assert np.array_equal(replay.embed_many(items + items[::-1]), rows + rows[::-1])
+        assert np.array_equal(replay.embed(*items[0]), rows[0])
         assert transport.requests == []
 
     def test_no_secret_in_emitted_files(self, tmp_path):

@@ -1,7 +1,11 @@
+import contextlib
+import gc
 import os
+import signal
 import subprocess
 import tarfile
 import time
+import warnings
 
 import pytest
 
@@ -86,6 +90,30 @@ class TestLocalSandbox:
                 break
             assert time.monotonic() < deadline, "the process group outlived the timeout"
             time.sleep(0.01)
+
+    def test_background_children_are_not_waited_for(self, sandbox):
+        step = None
+        try:
+            start = time.monotonic()
+            step = sandbox.run("echo $$; sleep 20 & echo hi", timeout=30, output_cap=1024)
+            assert time.monotonic() - start < 1.0
+            assert step.exit_code == 0 and not step.timed_out
+            assert "hi" in step.stdout_tail
+        finally:
+            if step is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(int(step.stdout_tail.split()[0]), signal.SIGKILL)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_output_pipes_are_closed_after_each_command(self, sandbox):
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(20):
+                sandbox.run("echo out; echo err >&2", 10, 1024)
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_commands_run_in_workdir(self, sandbox):
         step = sandbox.run("pwd", 10, 1024)
