@@ -140,13 +140,15 @@ def _cmd_rate(args) -> int:
     cutoff = Cutoff.from_json(read_text(args.cutoff))
     loaded = load_corpus(args.corpus)
     entries = filter_for_stage(loaded.entries, STAGE_RATE)
-    with open(args.out_file, "a", encoding="utf-8") as fh:
+    neutral = load_default_rate_prompts().neutral
+    with open(args.out_file, "w", encoding="utf-8") as fh:
         for entry in sorted(entries, key=lambda e: e.paper_id):
             verdict = rate_document(
                 RateInput(entry.paper_id, entry.paper_text, entry.readme_text),
                 concept,
                 cutoff,
                 provider,
+                neutral_prompt=neutral,
             )
             fh.write(verdict.to_json() + "\n")
     print(f"rated {len(entries)} papers -> {args.out_file}")
@@ -263,13 +265,18 @@ def _cmd_pipeline(args) -> int:
 def _cmd_evaluate(args) -> int:
     ground_truth = load_ground_truth(Path(args.ground_truth))
     pairs = []
+    seen: set[str] = set()
     with open(args.predictions, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             doc = json.loads(line)
-            record = ground_truth.get(doc["paper_id"])
+            paper_id = doc["paper_id"]
+            if paper_id in seen:
+                raise ConfigError(f"predictions name paper {paper_id!r} more than once")
+            seen.add(paper_id)
+            record = ground_truth.get(paper_id)
             if record is None or record.manually_runnable is None:
                 continue
             if args.field == "rate":

@@ -7,9 +7,10 @@ mocks for offline runs and tests.  Everything downstream only sees the
 two small capability interfaces, never model specifics.
 
 Secrets are read from the environment variable named in the config and
-never stored or serialized.  Remote embeddings are requested in batches
-and cached in memory and, optionally, on disk, keyed by a content digest,
-so probing the same text twice costs one request.
+never stored or serialized.  Remote embeddings are requested in batches,
+each distinct item once per call.  With a cache directory configured they
+are also cached on disk, keyed by a content digest, so probing the same
+text twice costs one request; without one, no vector outlives its call.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ class RemoteEmbeddingProvider(_RemoteBase):
     The system prompt and document are rendered into one input string;
     the backend decides pooling, which is recorded in provider_id so that
     scores from different poolings are never silently mixed.  Items not
-    in the cache are sent as an array ``input`` of at most
-    ``cfg.batch_size`` strings per request.  The memory cache holds
-    read-only vectors; only the disk cache stores JSON.
+    in the disk cache (when ``cfg.cache_dir`` is set) are sent as an
+    array ``input`` of at most ``cfg.batch_size`` strings per request.
+    The provider keeps no vectors between calls.
     """
 
     def __init__(
@@ -313,8 +314,6 @@ class RemoteEmbeddingProvider(_RemoteBase):
     ):
         super().__init__(cfg, transport, sleep)
         self.provider_id = f"{cfg.model_name}+{cfg.pooling}"
-        self._memory: dict[str, np.ndarray] = {}
-        self._memory_lock = threading.Lock()
         self._disk = (
             ResponseCache(cfg.cache_dir, self.provider_id) if cfg.cache_dir else None
         )
@@ -355,30 +354,30 @@ class RemoteEmbeddingProvider(_RemoteBase):
     def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
         """Embed ``(system_prompt, document)`` pairs as an (n, d) block, in order.
 
-        Each distinct item is looked up in the cache; the misses are
-        requested once each, in chunks of ``cfg.batch_size``.
+        Each distinct item is looked up in the disk cache, if any; the
+        misses are requested once each, first occurrence first, in chunks
+        of ``cfg.batch_size``.
         """
         if not items:
             return np.empty((0, self._seen_dim or 0))
-        keys = self._cache_keys(items)
-        vectors: dict[str, np.ndarray] = {}
-        misses: dict[str, str] = {}  # key -> wire input, first occurrence first
-        for key, (prompt, doc) in zip(keys, items):
-            if key in vectors or key in misses:
-                continue
-            hit = self._cache_get(key)
-            if hit is None:
-                misses[key] = f"{prompt}\n\n{doc}"
-            else:
-                vectors[key] = hit
-        pending = list(misses)
+        distinct = list(dict.fromkeys(items))
+        vectors: dict[tuple[str, str], np.ndarray] = {}
+        keys: dict[tuple[str, str], str] = {}
+        if self._disk is not None:
+            keys = dict(zip(distinct, self._cache_keys(distinct)))
+            for item in distinct:
+                hit = self._cache_get(keys[item])
+                if hit is not None:
+                    vectors[item] = hit
+        misses = [item for item in distinct if item not in vectors]
         step = self.cfg.batch_size
-        for start in range(0, len(pending), step):
-            chunk = pending[start:start + step]
-            for key, vec in zip(chunk, self._fetch([misses[k] for k in chunk])):
-                self._cache_put(key, vec)
-                vectors[key] = vec
-        return np.array([vectors[key] for key in keys])
+        for start in range(0, len(misses), step):
+            chunk = misses[start:start + step]
+            for item, vec in zip(chunk, self._fetch([f"{p}\n\n{d}" for p, d in chunk])):
+                if self._disk is not None:
+                    self._cache_put(keys[item], vec)
+                vectors[item] = vec
+        return np.array([vectors[item] for item in items])
 
     def _fetch(self, inputs: list[str]) -> list[np.ndarray]:
         """One request for ``inputs``; rows placed by each response item's index."""
@@ -397,7 +396,7 @@ class RemoteEmbeddingProvider(_RemoteBase):
         return [self._checked(by_index[i]) for i in range(len(inputs))]
 
     def _checked(self, values) -> np.ndarray:
-        """A read-only embedding of the configuration's one dimension."""
+        """An embedding of the configuration's one dimension."""
         vec = as_embedding(values)
         if self._seen_dim is None:
             self._seen_dim = vec.size
@@ -405,27 +404,14 @@ class RemoteEmbeddingProvider(_RemoteBase):
             raise EmbeddingDimensionMismatch(
                 f"expected dim {self._seen_dim}, response has {vec.size}"
             )
-        vec.setflags(write=False)
         return vec
 
     def _cache_get(self, key: str) -> np.ndarray | None:
-        with self._memory_lock:
-            if key in self._memory:
-                return self._memory[key]
-        if self._disk is not None:
-            hit = self._disk.get(key)
-            if hit is not None:
-                vec = self._checked(json.loads(hit)["embedding"])
-                with self._memory_lock:
-                    self._memory[key] = vec
-                return vec
-        return None
+        hit = self._disk.get(key)
+        return None if hit is None else self._checked(json.loads(hit)["embedding"])
 
     def _cache_put(self, key: str, vec: np.ndarray) -> None:
-        with self._memory_lock:
-            self._memory[key] = vec
-        if self._disk is not None:
-            self._disk.put(key, canonical_dumps({"embedding": vec.tolist()}))
+        self._disk.put(key, canonical_dumps({"embedding": vec.tolist()}))
 
 
 class RemoteChatProvider(_RemoteBase):

@@ -39,7 +39,14 @@ from .prepare import (
     PrepareOutcome,
     run_prepare_loop,
 )
-from .rate import Cutoff, LABEL_NOT_RUNS, RateInput, RateVerdict, rate_document
+from .rate import (
+    Cutoff,
+    LABEL_NOT_RUNS,
+    RateInput,
+    RateVerdict,
+    load_default_rate_prompts,
+    rate_document,
+)
 from .sandbox import SandboxSpec
 
 PIPELINE_RUNS = "runs"
@@ -373,10 +380,11 @@ def run_pipeline(
     if chat_factory is None and config.prepare.enabled:
         chat_factory = build_chat_factory(config.chat)
 
-    concept = cutoff = bank = model = None
+    concept = cutoff = neutral = bank = model = None
     if config.rate.enabled:
         concept = ConceptVector.from_json(read_text(config.rate.concept_path))
         cutoff = Cutoff.from_json(read_text(config.rate.cutoff_path))
+        neutral = load_default_rate_prompts().neutral
     if config.assess.enabled:
         bank = PitfallBank.from_json(read_text(config.assess.bank_path))
         model = AssessorModel.from_json(read_text(config.assess.model_path))
@@ -397,6 +405,7 @@ def run_pipeline(
                     concept,
                     cutoff,
                     embedding_provider,
+                    neutral_prompt=neutral,
                 )
             except Exception as exc:
                 errors.append(f"rate: {exc}")

@@ -144,15 +144,16 @@ class TestFeaturize:
         bank = build_pitfall_bank(make_specs(10), PROBES, MockEmbeddingProvider(seed=2, dim=32))
         transport = VectorTransport(dim=32)
         cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN")
-        provider = RemoteEmbeddingProvider(cfg, transport)
-        fv = featurize("a paper", bank, provider)
+        fv = featurize("a paper", bank, RemoteEmbeddingProvider(cfg, transport))
         assert len(transport.requests) == 1
         assert len(transport.requests[0]) == 10
         for entry, got in zip(bank.entries, fv.scores):
-            assert got == project_score(provider.embed(entry.neutral_prompt, "a paper"), entry.concept)
-        assert len(transport.requests) == 1
+            vector = transport.vector(f"{entry.neutral_prompt}\n\na paper")
+            assert got == project_score(vector, entry.concept)
 
-    def test_remote_provider_encodes_the_paper_once(self, monkeypatch):
+    @staticmethod
+    def paper_encodings(monkeypatch, cache_dir):
+        """How many canonical_dumps outputs a remote featurize puts the paper in."""
         monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
         bank = build_pitfall_bank(make_specs(10), PROBES, MockEmbeddingProvider(seed=2, dim=32))
         paper = "a paper, " * 1000
@@ -165,9 +166,18 @@ class TestFeaturize:
         monkeypatch.setattr(gateway, "canonical_dumps", counting_dumps)
         transport = VectorTransport(dim=32)
         transport.vector = lambda text: np.ones(32)  # mock_embed would count too
-        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN")
+        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN",
+                             cache_dir=cache_dir)
         featurize(paper, bank, RemoteEmbeddingProvider(cfg, transport))
-        assert sum(paper in text for text in outputs) == 1
+        assert len(transport.requests) == 1
+        return sum(paper in text for text in outputs)
+
+    def test_remote_provider_encodes_the_paper_once(self, monkeypatch, tmp_path):
+        assert self.paper_encodings(monkeypatch, str(tmp_path / "cache")) == 1
+
+    def test_remote_provider_without_a_cache_never_encodes_the_paper(self, monkeypatch):
+        # Only disk-cache keys JSON-encode the paper.
+        assert self.paper_encodings(monkeypatch, None) == 0
 
     def test_embed_only_provider_gives_the_same_scores(self):
         mock = MockEmbeddingProvider(seed=9, dim=12)

@@ -103,7 +103,7 @@ class TestPipelineCommand:
         prepared = [json.loads(l) for l in lines if json.loads(l)["prepare"] is not None]
         assert len(transcripts) == len(prepared)
 
-    def test_rate_command_appends_jsonl(self, workspace):
+    def test_rate_command_overwrites_its_out_file(self, workspace):
         tmp_path, corpus, config = workspace
         build_assets(tmp_path, corpus, config)
         out_file = tmp_path / "verdicts.jsonl"
@@ -116,7 +116,9 @@ class TestPipelineCommand:
         assert run_cli(*args) == EXIT_OK
         first = out_file.read_text()
         assert run_cli(*args) == EXIT_OK
-        assert out_file.read_text() == first * 2  # append mode
+        assert out_file.read_text() == first
+        ids = [json.loads(line)["paper_id"] for line in first.splitlines()]
+        assert len(ids) == 5 and len(set(ids)) == 5
 
     def test_evaluate_on_rate_verdicts(self, workspace, capsys):
         tmp_path, corpus, config = workspace
@@ -137,6 +139,25 @@ class TestPipelineCommand:
         assert "Accuracy:" in captured
         doc = json.loads(metrics_file.read_text())
         assert set(doc) == {"version", "accuracy", "precision", "recall", "f1", "f2"}
+
+    def test_evaluate_rejects_a_paper_named_twice(self, workspace, capsys):
+        tmp_path, corpus, config = workspace
+        build_assets(tmp_path, corpus, config)
+        out_file = tmp_path / "verdicts.jsonl"
+        run_cli(
+            "--config", config, "rate", "--corpus", corpus,
+            "--concept", tmp_path / "concept.json",
+            "--cutoff", tmp_path / "cutoff.json", "--out-file", out_file,
+        )
+        lines = out_file.read_text().splitlines()
+        out_file.write_text("\n".join(lines + lines[1:2]) + "\n")
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--predictions", out_file,
+            "--ground-truth", corpus / "ground_truth.csv", "--field", "rate",
+        ) == EXIT_CONFIG
+        paper_id = json.loads(lines[1])["paper_id"]
+        assert f"predictions name paper {paper_id!r} more than once" in capsys.readouterr().err
 
     def test_evaluate_on_pipeline_reports_matches_summary(self, workspace, capsys):
         tmp_path, corpus, config = workspace

@@ -183,12 +183,17 @@ class TestRemoteEmbeddings:
             provider.embed("sys", "doc")
         assert len(transport.requests) == 1
 
-    def test_in_process_cache_avoids_second_request(self):
-        transport = FakeTransport([(200, embedding_body([0.5, 0.25]))])
+    def test_repeat_calls_are_served_only_from_the_disk_cache(self, tmp_path):
+        # No vector outlives its call in memory: without a cache_dir the
+        # same item costs a request per call.
+        transport = FakeTransport([(200, embedding_body([0.5, 0.25]))] * 2)
         provider = RemoteEmbeddingProvider(make_cfg(), transport)
-        first = provider.embed("sys", "doc")
-        second = provider.embed("sys", "doc")
-        assert np.array_equal(first, second)
+        assert np.array_equal(provider.embed("sys", "doc"), provider.embed("sys", "doc"))
+        assert len(transport.requests) == 2
+
+        transport = FakeTransport([(200, embedding_body([0.5, 0.25]))])
+        provider = RemoteEmbeddingProvider(make_cfg(cache_dir=str(tmp_path / "cache")), transport)
+        assert np.array_equal(provider.embed("sys", "doc"), provider.embed("sys", "doc"))
         assert len(transport.requests) == 1
 
     def test_disk_cache_layout_and_reuse(self, tmp_path):
@@ -279,9 +284,9 @@ class TestRemoteEmbeddingBatches:
             assert np.array_equal(row, single.embed(prompt, doc))
             assert np.array_equal(row, VectorTransport().vector(f"{prompt}\n\n{doc}"))
 
-    def test_only_misses_are_sent(self):
+    def test_only_misses_are_sent(self, tmp_path):
         transport = VectorTransport()
-        provider = RemoteEmbeddingProvider(make_cfg(), transport)
+        provider = RemoteEmbeddingProvider(make_cfg(cache_dir=str(tmp_path / "cache")), transport)
         provider.embed_many(self.ITEMS[1:3])
         block = provider.embed_many(self.ITEMS)
         assert transport.requests[1] == ["prompt a\n\ndoc 1", "prompt c\n\ndoc 3",
