@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Calibrating a runs/not-runs cutoff that maximizes recall.
+"""Calibrating a recall-first runs/not-runs cutoff.
 
 Given projection scores for a small training sample with known runnability
-labels, the calibrator sweeps every candidate threshold and keeps the
-one with the highest recall of runnable papers; ties go to the higher
-precision, then to the larger (more selective) threshold.  A score equal
-to the threshold counts as runnable, keeping the boundary inclusive.
+labels, the calibrator sets the threshold at the lowest score of a
+runnable paper.  That keeps every runnable training paper (recall 1.0),
+and no higher threshold does, so it is also the most precise threshold
+with full recall.  A score equal to the threshold counts as runnable,
+keeping the boundary inclusive.  If runnable papers' scores are
+exchangeable, a new runnable paper clears the cutoff with probability at
+least m/(m+1), for m runnable training papers.
 """
 
 from aekit.rate import calibrate_cutoff

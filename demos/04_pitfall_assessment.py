@@ -36,7 +36,7 @@ probes = ProbeSet((
     "Two annotators labeled every sample; disagreements were adjudicated.",
 ))
 bank = build_pitfall_bank(specs, probes, provider)
-print(f"bank built: {len(bank)} concept vectors, dim {bank.concepts[0].dim}")
+print(f"bank built: {len(bank)} concept vectors, dim {bank.entries[0].concept.dim}")
 print()
 
 # Synthetic, cleanly separable training features: pitfall 1 present papers

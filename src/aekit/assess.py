@@ -54,10 +54,6 @@ LABEL_PRESENT = "present"
 LABEL_ABSENT = "absent"
 LABEL_SKIPPED = "skipped"
 
-# Annotation values accepted from ground truth; "partial" counts as
-# present, "unclear" rows are excluded per pitfall.
-ANNOTATION_VALUES = ("present", "partial", "absent", "unclear")
-
 MODE_UNIVARIATE = "univariate"
 MODE_FULL_VECTOR = "full_vector"
 
@@ -141,10 +137,6 @@ class PitfallBank:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def concepts(self) -> list[ConceptVector]:
-        return [e.concept for e in self.entries]
 
     @property
     def pitfall_ids(self) -> list[str]:

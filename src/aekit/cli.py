@@ -27,6 +27,7 @@ from .assess import (
 from .corpus import (
     STAGE_ASSESS,
     STAGE_RATE,
+    _read_paper_dir,
     filter_for_stage,
     load_corpus,
     load_ground_truth,
@@ -158,20 +159,22 @@ def _cmd_rate(args) -> int:
 def _cmd_prepare(args) -> int:
     config = _load_config(args)
     bundle_dir = Path(args.bundle)
-    paper_path = bundle_dir / "paper.txt"
-    ref_path = bundle_dir / "source.ref"
-    if not paper_path.is_file() or not ref_path.is_file():
+    if not (bundle_dir / "paper.txt").is_file() or not (bundle_dir / "source.ref").is_file():
         raise ConfigError(f"bundle {bundle_dir} needs paper.txt and source.ref")
-    readme_path = bundle_dir / "readme.txt"
-    bundle = ArtifactBundle(
-        paper_id=bundle_dir.name,
-        paper_text=paper_path.read_text("utf-8"),
-        source_ref=ref_path.read_text("utf-8").strip(),
-        readme_text=readme_path.read_text("utf-8") if readme_path.is_file() else None,
-    )
+    try:
+        entry = _read_paper_dir(bundle_dir)
+        bundle = ArtifactBundle(
+            paper_id=entry.paper_id,
+            paper_text=entry.paper_text,
+            source_ref=entry.source_ref,
+            readme_text=entry.readme_text,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bundle {bundle_dir}: {exc}") from exc
 
-    backend = "local_process" if args.backend == "local" else args.backend
-    spec = dataclasses.replace(config.prepare.sandbox, backend=backend)
+    spec = config.prepare.sandbox
+    if args.backend is not None:
+        spec = dataclasses.replace(spec, backend=args.backend)
     limits = config.prepare.limits
     if args.limits:
         doc = json.loads(read_text(args.limits))
@@ -311,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", required=True)
     p.set_defaults(func=_cmd_extract_concept)
 
-    p = sub.add_parser("calibrate", help="pick the recall-maximizing score cutoff")
+    p = sub.add_parser(
+        "calibrate", help="set the cutoff at the lowest runs-class training score (recall 1.0)"
+    )
     p.add_argument("--corpus", required=True)
     p.add_argument("--concept", required=True)
     p.add_argument("--n-train", type=int, default=12)
@@ -327,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="agent-driven environment setup for one bundle")
     p.add_argument("--bundle", required=True, help="directory with paper.txt and source.ref")
-    p.add_argument("--backend", choices=["container", "local"], default="local")
+    p.add_argument("--backend", choices=["container", "local"], default=None,
+                   help="sandbox backend (default: [prepare] backend from --config, else local)")
     p.add_argument("--limits", default=None, help="JSON with max_iterations/timeout/output_cap")
     p.add_argument("--out-file", required=True)
     p.set_defaults(func=_cmd_prepare)

@@ -128,6 +128,34 @@ def _read_utf8(path: Path) -> str:
     return path.read_bytes().decode("utf-8")
 
 
+def _read_paper_dir(
+    paper_dir: Path, ground_truth: GroundTruthRecord | None = None
+) -> CorpusEntry:
+    """One paper directory as an entry, named after the directory.
+
+    Raises ValueError when paper.txt is missing, a file is not UTF-8 or
+    the entry is invalid.  A whitespace-only source.ref reads as None.
+    """
+    paper_path = paper_dir / "paper.txt"
+    if not paper_path.is_file():
+        raise ValueError("missing paper.txt")
+    readme_path = paper_dir / "readme.txt"
+    ref_path = paper_dir / "source.ref"
+    try:
+        paper_text = _read_utf8(paper_path)
+        readme_text = _read_utf8(readme_path) if readme_path.is_file() else None
+        source_ref = _read_utf8(ref_path).strip() if ref_path.is_file() else None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed UTF-8: {exc}") from exc
+    return CorpusEntry(
+        paper_id=paper_dir.name,
+        paper_text=paper_text,
+        readme_text=readme_text,
+        source_ref=source_ref or None,
+        ground_truth=ground_truth,
+    )
+
+
 def load_corpus(root: str | Path) -> LoadedCorpus:
     """Load every paper directory under root, collecting per-entry errors.
 
@@ -148,30 +176,10 @@ def load_corpus(root: str | Path) -> LoadedCorpus:
     for paper_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         paper_id = paper_dir.name
         seen_dirs.add(paper_id)
-        paper_path = paper_dir / "paper.txt"
-        if not paper_path.is_file():
-            errors.append(f"{paper_id}: missing paper.txt")
-            continue
         try:
-            paper_text = _read_utf8(paper_path)
-            readme_path = paper_dir / "readme.txt"
-            readme_text = _read_utf8(readme_path) if readme_path.is_file() else None
-            ref_path = paper_dir / "source.ref"
-            source_ref = _read_utf8(ref_path).strip() if ref_path.is_file() else None
-            entry = CorpusEntry(
-                paper_id=paper_id,
-                paper_text=paper_text,
-                readme_text=readme_text,
-                source_ref=source_ref or None,
-                ground_truth=ground_truth.get(paper_id),
-            )
-        except UnicodeDecodeError as exc:
-            errors.append(f"{paper_id}: malformed UTF-8: {exc}")
-            continue
+            entries.append(_read_paper_dir(paper_dir, ground_truth.get(paper_id)))
         except ValueError as exc:
             errors.append(f"{paper_id}: {exc}")
-            continue
-        entries.append(entry)
 
     for paper_id in sorted(set(ground_truth) - seen_dirs):
         errors.append(f"{paper_id}: annotation has no matching paper directory")

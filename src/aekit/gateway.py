@@ -92,7 +92,6 @@ class ProviderConfig:
     max_retries: int = 3
     embedding_dim: int | None = None
     pooling: str = "mean"
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     cache_dir: str | None = None
     # Inputs per embeddings request; servers cap how many one may carry.
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -102,8 +101,6 @@ class ProviderConfig:
             raise ValueError("timeout must be positive")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -248,7 +245,7 @@ class _RemoteBase:
         self.cfg = cfg
         self._transport = transport or _requests_transport
         self._sleep = sleep
-        self._slots = threading.Semaphore(cfg.max_in_flight)
+        self._slots = threading.Semaphore(DEFAULT_MAX_IN_FLIGHT)
 
     def _token(self) -> str:
         token = os.environ.get(self.cfg.auth_token_env)

@@ -184,13 +184,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         prepare = PrepareSettings()
         if parser.has_section("prepare"):
             sec = parser["prepare"]
-            backend = sec.get("backend", "local_process")
-            if backend == "local":
-                backend = "local_process"
             prepare = PrepareSettings(
                 enabled=sec.getboolean("enabled", False),
                 sandbox=SandboxSpec(
-                    backend=backend,
+                    backend=sec.get("backend", SandboxSpec().backend),
                     base_image=sec.get("base_image", SandboxSpec().base_image),
                     network=sec.get("network", "allowed"),
                     gpu=sec.getboolean("gpu", False),

@@ -19,7 +19,6 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .gateway import ChatMessage, ChatProvider
 from .jsonio import canonical_dumps
@@ -224,9 +223,9 @@ def parse_action(message: ChatMessage) -> AgentAction | None:
     return AgentAction(kind=kind, payload=payload)
 
 
-def command_denied(command: str, denylist: Sequence[str] = DEFAULT_COMMAND_DENYLIST) -> str | None:
+def command_denied(command: str) -> str | None:
     """The matching denylist pattern, or None when the command is allowed."""
-    for pattern in denylist:
+    for pattern in DEFAULT_COMMAND_DENYLIST:
         if re.search(pattern, command):
             return pattern
     return None
@@ -291,9 +290,7 @@ def run_prepare_loop(
     spec: SandboxSpec,
     chat: ChatProvider,
     limits: PrepareLimits = PrepareLimits(),
-    denylist: Sequence[str] = DEFAULT_COMMAND_DENYLIST,
     snapshot_dir: str | Path | None = None,
-    **backend_kwargs,
 ) -> PrepareOutcome:
     """Drive the command/feedback loop until a verdict or budget end.
 
@@ -326,7 +323,7 @@ def run_prepare_loop(
         )
 
     try:
-        sandbox = open_sandbox(spec, **backend_kwargs)
+        sandbox = open_sandbox(spec)
     except Exception as exc:
         return failure(f"sandbox could not be opened: {exc}")
 
@@ -341,7 +338,7 @@ def run_prepare_loop(
                 return failure(f"chat provider error: {exc}")
 
             if action.kind == ACTION_RUN:
-                denied_by = command_denied(action.payload, denylist)
+                denied_by = command_denied(action.payload)
                 if denied_by is not None:
                     messages.append(
                         ChatMessage(

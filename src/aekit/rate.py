@@ -136,43 +136,33 @@ def compose_rate_document(input: RateInput) -> str:
 
 
 def calibrate_cutoff(scores: Sequence[float], labels: Sequence[str]) -> Cutoff:
-    """Pick the threshold that maximizes recall of the runs class.
+    """The lowest runs-class score, as a recall-first cutoff.
 
-    Candidates are the distinct scores plus (min - 1).  Pure recall
-    maximization alone would always pick the lowest candidate, so ties
-    are broken by precision and then by the larger threshold, which keeps
-    the cutoff as selective as recall allows.  A score equal to the
-    threshold counts as runs.
+    The threshold keeps every runs example (train recall 1.0), and no
+    higher threshold does; among the thresholds that reach recall 1.0 it
+    admits the fewest not-runs examples, so it has the best precision.
+    A score equal to the threshold counts as runs.
+
+    Guarantee: if the scores of runs papers are exchangeable, a new runs
+    paper scores at or above the lowest of m calibration runs scores with
+    probability at least m/(m+1) (the split-conformal bound).  Nothing is
+    promised about precision.
     """
     if len(scores) != len(labels):
         raise ValueError("scores and labels must align")
     for lab in labels:
         if lab not in (LABEL_RUNS, LABEL_NOT_RUNS):
             raise ValueError(f"unknown label: {lab!r}")
-    n_pos = sum(1 for lab in labels if lab == LABEL_RUNS)
-    if n_pos == 0 or n_pos == len(labels):
+    runs_scores = [s for s, lab in zip(scores, labels) if lab == LABEL_RUNS]
+    if not runs_scores or len(runs_scores) == len(labels):
         raise DegenerateLabels("calibration needs both runs and not_runs examples")
 
-    # Sweep the distinct scores from high to low, counting the runs (tp)
-    # and not-runs (fp) examples at or above each: O(n log n) in all.
-    # (min - 1) admits every example, like the lowest score.
-    ranked = sorted(zip(scores, labels), key=lambda item: item[0], reverse=True)
-    ranked.append((min(scores) - 1.0, None))
-    best: tuple[float, float, float] | None = None
-    tp = fp = 0
-    for i, (score, label) in enumerate(ranked):
-        tp += label == LABEL_RUNS
-        fp += label == LABEL_NOT_RUNS
-        if i + 1 < len(ranked) and ranked[i + 1][0] == score:
-            continue  # the threshold admits every tied score at once
-        key = (tp / n_pos, tp / (tp + fp), score)
-        if best is None or key > best:
-            best = key
-    recall, precision, threshold = best
+    threshold = min(runs_scores)
+    admitted = sum(1 for s in scores if s >= threshold)
     return Cutoff(
         threshold=threshold,
-        train_recall=recall,
-        train_precision=precision,
+        train_recall=1.0,
+        train_precision=len(runs_scores) / admitted,
         n_train=len(scores),
     )
 

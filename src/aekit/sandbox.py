@@ -56,6 +56,10 @@ class SandboxSpec:
     gpu: bool = False
 
     def __post_init__(self) -> None:
+        # "local" is the short name that `aekit prepare --backend` and the
+        # INI files accept.
+        if self.backend == "local":
+            object.__setattr__(self, "backend", BACKEND_LOCAL)
         if self.backend not in (BACKEND_LOCAL, BACKEND_CONTAINER):
             raise ValueError(f"unknown backend: {self.backend!r}")
         if self.network not in ("allowed", "denied"):
@@ -196,10 +200,6 @@ class LocalProcessSandbox:
         self._open = True
         self._snapshot_counter = 0
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def _require_open(self) -> None:
         if not self._open:
             raise SandboxClosed("sandbox has been torn down")
@@ -319,10 +319,6 @@ class ContainerSandbox:
         self._open = True
         self._snapshot_counter = 0
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def _require_open(self) -> None:
         if not self._open:
             raise SandboxClosed("container has been removed")
@@ -376,8 +372,8 @@ class ContainerSandbox:
             self._open = False
 
 
-def open_sandbox(spec: SandboxSpec, **backend_kwargs):
+def open_sandbox(spec: SandboxSpec):
     """Fresh isolated environment with an empty workdir."""
     if spec.backend == BACKEND_LOCAL:
         return LocalProcessSandbox(spec)
-    return ContainerSandbox(spec, **backend_kwargs)
+    return ContainerSandbox(spec)

@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from aekit.cli import EXIT_CONFIG, EXIT_OK, main
+from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
 
 
 @pytest.fixture
@@ -203,6 +204,24 @@ class TestPrepareCommand:
         ) == EXIT_OK
         assert json.loads(out_file.read_text())["status"] == "budget_exhausted"
 
+    def test_backend_comes_from_the_config_unless_the_flag_is_given(self, workspace, monkeypatch):
+        tmp_path, corpus, config = workspace
+        config.write_text(config.read_text().replace("backend = local\n", "backend = container\n"))
+        backends = []
+
+        def recording_loop(bundle, spec, chat, limits):
+            backends.append(spec.backend)
+            transcript = AgentTranscript(bundle.paper_id, (), (), OUTCOME_SUCCESS, "ok")
+            return PrepareOutcome(OUTCOME_SUCCESS, transcript, snapshot_ref="r")
+
+        monkeypatch.setattr("aekit.cli.run_prepare_loop", recording_loop)
+        for flag in ((), ("--backend", "local")):
+            assert run_cli(
+                "--config", config, "prepare", "--bundle", corpus / "p001", *flag,
+                "--out-file", tmp_path / "x.json",
+            ) == EXIT_OK
+        assert backends == ["container", "local_process"]
+
 
 class TestConfigErrors:
     def test_missing_config_file_exits_2(self, tmp_path):
@@ -238,12 +257,21 @@ class TestConfigErrors:
         assert "configuration error: calibration needs both" in capsys.readouterr().err
         assert not (tmp_path / "cutoff.json").exists()
 
-    def test_bundle_without_source_ref_exits_2(self, workspace):
+    @pytest.mark.parametrize(
+        "paper, source_ref",
+        [(b"text", None), (b"text", b" \n\t"), (b"\xff\xfe text", b"https://example.org/repo\n")],
+        ids=["missing", "whitespace", "non-utf8"],
+    )
+    def test_bundle_without_source_ref_exits_2(self, workspace, capsys, paper, source_ref):
         tmp_path, corpus, config = workspace
-        bundle = tmp_path / "empty-bundle"
+        bundle = tmp_path / "bad-bundle"
         bundle.mkdir()
-        (bundle / "paper.txt").write_text("text")
+        (bundle / "paper.txt").write_bytes(paper)
+        if source_ref is not None:
+            (bundle / "source.ref").write_bytes(source_ref)
         assert run_cli(
             "--config", config, "prepare", "--bundle", bundle,
             "--backend", "local", "--out-file", tmp_path / "x.json",
         ) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: bundle {bundle}")
+        assert not (tmp_path / "x.json").exists()

@@ -60,7 +60,7 @@ class TestComposeDocument:
 
 
 class TestCalibrateCutoff:
-    def test_clean_separation_picks_largest_perfect_threshold(self):
+    def test_clean_separation_threshold_is_lowest_runs_score(self):
         cutoff = calibrate_cutoff(
             [0.9, 0.8, 0.2, 0.1], [LABEL_RUNS, LABEL_RUNS, LABEL_NOT_RUNS, LABEL_NOT_RUNS]
         )
@@ -69,30 +69,35 @@ class TestCalibrateCutoff:
         assert cutoff.train_precision == 1.0
         assert cutoff.n_train == 4
 
-    def test_tie_case_prefers_precision_then_largest_threshold(self):
+    def test_tie_case_threshold_is_lowest_runs_score(self):
         cutoff = calibrate_cutoff([0.5, 0.5, 0.4], [LABEL_RUNS, LABEL_NOT_RUNS, LABEL_RUNS])
         assert cutoff.threshold == 0.4
         assert cutoff.train_recall == 1.0
         assert cutoff.train_precision == pytest.approx(2 / 3)
 
-    def test_single_class_rejected(self):
+    @pytest.mark.parametrize("label", [LABEL_RUNS, LABEL_NOT_RUNS])
+    def test_single_class_rejected(self, label):
         with pytest.raises(DegenerateLabels):
-            calibrate_cutoff([0.1, 0.2], [LABEL_RUNS, LABEL_RUNS])
+            calibrate_cutoff([0.1, 0.2], [label, label])
 
     def test_matches_enumeration_oracle_on_random_sets(self):
         rng = np.random.default_rng(101)
-        for _ in range(100):
-            n = int(rng.integers(2, 40))
-            # Duplicate scores on purpose to provoke ties.
-            scores = [float(x) for x in rng.integers(0, 8, size=n) / 4.0]
-            labels = [LABEL_RUNS if rng.uniform() < 0.5 else LABEL_NOT_RUNS for _ in range(n)]
-            if len(set(labels)) < 2:
-                continue
-            cutoff = calibrate_cutoff(scores, labels)
-            recall, precision, threshold = oracle_best_cutoff(scores, labels)
-            assert cutoff.threshold == threshold
-            assert cutoff.train_recall == recall
-            assert cutoff.train_precision == precision
+        draws = (
+            lambda n: rng.integers(0, 8, size=n) / 4.0,  # duplicates on purpose to provoke ties
+            lambda n: rng.normal(size=n),  # continuous: no ties
+        )
+        for draw in draws:
+            for _ in range(100):
+                n = int(rng.integers(2, 40))
+                scores = [float(x) for x in draw(n)]
+                labels = [LABEL_RUNS if rng.uniform() < 0.5 else LABEL_NOT_RUNS for _ in range(n)]
+                if len(set(labels)) < 2:
+                    continue
+                cutoff = calibrate_cutoff(scores, labels)
+                recall, precision, threshold = oracle_best_cutoff(scores, labels)
+                assert cutoff.threshold == threshold
+                assert cutoff.train_recall == recall
+                assert cutoff.train_precision == precision
 
     def test_training_set_recall_is_reproduced_exactly(self):
         rng = np.random.default_rng(55)
