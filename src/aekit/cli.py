@@ -73,6 +73,17 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
+def _json_object(text: str, source: str) -> dict:
+    """``text`` parsed as one JSON object; ConfigError naming ``source`` otherwise."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source} is not a JSON object")
+    return doc
+
+
 def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int):
     """The stage's seeded training split, in train-id order."""
     subset = filter_for_stage(load_corpus(corpus_dir).entries, stage)
@@ -177,12 +188,15 @@ def _cmd_prepare(args) -> int:
         spec = dataclasses.replace(spec, backend=args.backend)
     limits = config.prepare.limits
     if args.limits:
-        doc = json.loads(read_text(args.limits))
-        limits = PrepareLimits(
-            max_iterations=int(doc.get("max_iterations", limits.max_iterations)),
-            command_timeout=float(doc.get("timeout", limits.command_timeout)),
-            output_cap=int(doc.get("output_cap", limits.output_cap)),
-        )
+        doc = _json_object(read_text(args.limits), f"limits {args.limits}")
+        try:
+            limits = PrepareLimits(
+                max_iterations=int(doc.get("max_iterations", limits.max_iterations)),
+                command_timeout=float(doc.get("timeout", limits.command_timeout)),
+                output_cap=int(doc.get("output_cap", limits.output_cap)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"limits {args.limits}: {exc}") from exc
     chat = build_chat_factory(config.chat)(bundle.paper_id)
     outcome = run_prepare_loop(bundle, spec, chat, limits)
     write_text(args.out_file, outcome.to_json())
@@ -270,12 +284,15 @@ def _cmd_evaluate(args) -> int:
     pairs = []
     seen: set[str] = set()
     with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            paper_id = doc["paper_id"]
+            source = f"predictions {args.predictions} line {number}"
+            doc = _json_object(line, source)
+            paper_id = doc.get("paper_id")
+            if paper_id is None:
+                raise ConfigError(f"{source} has no paper_id")
             if paper_id in seen:
                 raise ConfigError(f"predictions name paper {paper_id!r} more than once")
             seen.add(paper_id)

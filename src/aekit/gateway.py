@@ -11,6 +11,9 @@ never stored or serialized.  Remote embeddings are requested in batches,
 each distinct item once per call.  With a cache directory configured they
 are also cached on disk, keyed by a content digest, so probing the same
 text twice costs one request; without one, no vector outlives its call.
+Both embedding providers JSON-encode each distinct document once per
+``embed_many`` call, however many prompts it is embedded under; the mock
+keeps no vectors between calls either.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ class EmbeddingProvider(Protocol):
     Providers may also offer ``embed_many(items) -> (n, d)`` over
     ``(system_prompt, document)`` pairs; callers that embed a block use
     it when present and fall back to one ``embed`` per item otherwise.
+    Both providers here offer it, and encode each distinct document once
+    per call.
     """
 
     provider_id: str
@@ -133,12 +138,7 @@ def mock_embed(seed: int, dim: int, system_prompt: str, document: str) -> np.nda
     an RNG seed, so equal inputs give bitwise-equal vectors on any
     platform and any change to either text changes the vector.
     """
-    if dim <= 0:
-        raise ValueError("dim must be positive")
-    payload = canonical_dumps([seed, system_prompt, document]).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    return rng.uniform(-1.0, 1.0, size=dim)
+    return MockEmbeddingProvider(seed, dim).embed(system_prompt, document)
 
 
 class MockEmbeddingProvider:
@@ -152,7 +152,34 @@ class MockEmbeddingProvider:
         self.provider_id = f"mock-embed-{seed}-d{dim}"
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
-        return mock_embed(self.seed, self.dim, system_prompt, document)
+        return self.embed_many([(system_prompt, document)])[0]
+
+    def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Embed ``(system_prompt, document)`` pairs as an (n, dim) block, in order.
+
+        Row i seeds ``default_rng`` from the sha256 of
+        ``canonical_dumps([seed, prompt, document])``.  That text is the
+        prompt's prefix ``[<seed>,<prompt>,`` followed by the document's
+        ``<document>]``, so each distinct prompt is hashed and each
+        distinct document encoded once per call, and each item only
+        feeds its document's bytes into a copy of its prompt's state.
+        """
+        prefixes = {}  # prompt -> sha256 state after "[<seed>,<prompt>,"
+        suffixes = {}  # document -> UTF-8 of "<document>]"
+        block = np.empty((len(items), self.dim))
+        for i, (prompt, doc) in enumerate(items):
+            prefix = prefixes.get(prompt)
+            if prefix is None:
+                head = f"[{canonical_dumps(self.seed)},{canonical_dumps(prompt)},"
+                prefix = prefixes[prompt] = hashlib.sha256(head.encode("utf-8"))
+            suffix = suffixes.get(doc)
+            if suffix is None:
+                suffix = suffixes[doc] = (canonical_dumps(doc) + "]").encode("utf-8")
+            digest = prefix.copy()
+            digest.update(suffix)
+            rng = np.random.default_rng(int.from_bytes(digest.digest()[:8], "big"))
+            block[i] = rng.uniform(-1.0, 1.0, size=self.dim)
+        return block
 
 
 class ScriptedChatProvider:

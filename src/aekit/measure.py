@@ -259,13 +259,22 @@ class ConceptVector:
 def extract_concept_vector(
     probes: ProbeSet, prompts: PromptPair, provider: "EmbeddingProvider"
 ) -> ConceptVector:
-    """Full extraction pipeline: embed under both poles, delta, PCA."""
-    pos = _embed_block(provider, [(prompts.positive, p) for p in probes.probes])
-    neg = _embed_block(provider, [(prompts.negative, p) for p in probes.probes])
-    deltas = compute_deltas(pos, neg)
+    """Full extraction pipeline: embed under both poles, delta, PCA.
+
+    Both poles go to the provider in one call of 2n items, positives
+    first, so a provider that encodes each distinct document once per
+    call encodes each probe once.
+    """
+    n = probes.count
+    poles = _embed_block(
+        provider,
+        [(prompts.positive, p) for p in probes.probes]
+        + [(prompts.negative, p) for p in probes.probes],
+    )
+    deltas = compute_deltas(poles[:n], poles[n:])
     # Free the 2n pole embeddings before the eigensolver allocates its
     # workspace, so extraction peaks at the embeddings, not at both.
-    del pos, neg
+    del poles
     direction = first_principal_component(deltas)
     return ConceptVector(
         direction=direction,

@@ -51,6 +51,23 @@ class VectorTransport:
         return 200, json.dumps({"data": data}).encode()
 
 
+def document_encodings(monkeypatch, document, call):
+    """How many ``canonical_dumps`` outputs in ``aekit.gateway`` hold ``document`` during ``call()``."""
+    from aekit import gateway
+
+    dumps = gateway.canonical_dumps
+    outputs = []
+
+    def counting_dumps(obj):
+        outputs.append(dumps(obj))
+        return outputs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gateway, "canonical_dumps", counting_dumps)
+        call()
+    return sum(document in text for text in outputs)
+
+
 class CountingChat:
     """Wraps a chat provider and counts next_message calls."""
 

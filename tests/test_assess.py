@@ -28,12 +28,10 @@ from aekit.assess import (
     sigmoid,
     train_assessor,
 )
-from aekit import gateway
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
-from aekit.jsonio import canonical_dumps
 from aekit.measure import ConceptVector, ProbeSet, PromptPair, project_score
 
-from conftest import FixedEmbeddingProvider, VectorTransport
+from conftest import FixedEmbeddingProvider, VectorTransport, document_encodings
 
 PROBES = ProbeSet(("probe one", "probe two", "probe three", "probe four"))
 
@@ -157,20 +155,14 @@ class TestFeaturize:
         monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
         bank = build_pitfall_bank(make_specs(10), PROBES, MockEmbeddingProvider(seed=2, dim=32))
         paper = "a paper, " * 1000
-        outputs = []
-
-        def counting_dumps(obj):
-            outputs.append(canonical_dumps(obj))
-            return outputs[-1]
-
-        monkeypatch.setattr(gateway, "canonical_dumps", counting_dumps)
         transport = VectorTransport(dim=32)
         transport.vector = lambda text: np.ones(32)  # mock_embed would count too
         cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN",
                              cache_dir=cache_dir)
-        featurize(paper, bank, RemoteEmbeddingProvider(cfg, transport))
+        provider = RemoteEmbeddingProvider(cfg, transport)
+        encodings = document_encodings(monkeypatch, paper, lambda: featurize(paper, bank, provider))
         assert len(transport.requests) == 1
-        return sum(paper in text for text in outputs)
+        return encodings
 
     def test_remote_provider_encodes_the_paper_once(self, monkeypatch, tmp_path):
         assert self.paper_encodings(monkeypatch, str(tmp_path / "cache")) == 1

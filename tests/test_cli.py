@@ -275,3 +275,33 @@ class TestConfigErrors:
         ) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"configuration error: bundle {bundle}")
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("prepare", "{bad", "is not valid JSON"),
+            ("prepare", "[1, 2]", "is not a JSON object"),
+            ("prepare", '{"max_iterations": -1}', "max_iterations must be nonnegative"),
+            ("prepare", '{"timeout": "soon"}', "could not convert string to float"),
+            ("evaluate", '{"paper_id": "p001", "pipeline_label": "runs"}\nnot json\n', "line 2 is not valid JSON"),
+            ("evaluate", "[]\n", "line 1 is not a JSON object"),
+            ("evaluate", '{"pipeline_label": "runs"}\n', "line 1 has no paper_id"),
+        ],
+        ids=["limits-json", "limits-array", "limits-negative", "limits-type",
+             "predictions-json", "predictions-array", "predictions-no-id"],
+    )
+    def test_malformed_json_input_exits_2(self, workspace, capsys, command, content, message):
+        tmp_path, corpus, config = workspace
+        given = tmp_path / "input.json"
+        given.write_text(content)
+        if command == "prepare":
+            argv = ["--config", config, "prepare", "--bundle", corpus / "p001", "--backend", "local",
+                    "--limits", given, "--out-file", tmp_path / "x.json"]
+        else:
+            argv = ["evaluate", "--predictions", given, "--ground-truth", corpus / "ground_truth.csv",
+                    "--out-file", tmp_path / "x.json"]
+        assert run_cli(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert str(given) in err
+        assert not (tmp_path / "x.json").exists()

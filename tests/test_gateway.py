@@ -92,6 +92,55 @@ class TestMockEmbed:
         assert provider.provider_id == "mock-embed-2-d6"
 
 
+def reference_mock_embed(seed, dim, system_prompt, document):
+    """The mock's formula, written out: sha256 -> default_rng -> uniform."""
+    payload = canonical_dumps([seed, system_prompt, document]).encode("utf-8")
+    digest = hashlib.sha256(payload).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "big")).uniform(-1.0, 1.0, size=dim)
+
+
+MOCK_TEXTS = ["plain", 'quote " and \\ backslash', "control \x00\x01\n\t\x1f", "non-BMP \U0001F600 \U00010348",
+              "a,b", "c", "a", "b,c", '"],[', "", "é" * 300]
+
+
+class TestMockEmbedMany:
+    ITEMS = [(p, d) for p in MOCK_TEXTS[:6] for d in MOCK_TEXTS]
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**70, True])
+    def test_rows_equal_the_formula_bit_for_bit(self, seed):
+        block = MockEmbeddingProvider(seed=seed, dim=16).embed_many(self.ITEMS)
+        assert block.shape == (len(self.ITEMS), 16)
+        for row, (prompt, doc) in zip(block, self.ITEMS):
+            expected = reference_mock_embed(seed, 16, prompt, doc)
+            assert row.tobytes() == expected.tobytes()
+            assert row.tobytes() == mock_embed(seed, 16, prompt, doc).tobytes()
+
+    def test_ambiguous_splits_give_different_rows(self):
+        block = MockEmbeddingProvider(seed=3, dim=16).embed_many([("a,b", "c"), ("a", "b,c")])
+        assert np.any(block[0] != block[1])
+        assert block[1].tobytes() == reference_mock_embed(3, 16, "a", "b,c").tobytes()
+
+    def test_repeated_items_give_equal_rows(self):
+        items = [("p", "x"), ("q", "x"), ("p", "x"), ("p", "y"), ("q", "x")]
+        block = MockEmbeddingProvider(seed=1, dim=8).embed_many(items)
+        assert block[0].tobytes() == block[2].tobytes()
+        assert block[1].tobytes() == block[4].tobytes()
+        for row, (prompt, doc) in zip(block, items):
+            assert row.tobytes() == reference_mock_embed(1, 8, prompt, doc).tobytes()
+
+    def test_empty_call_gives_an_empty_block(self):
+        assert MockEmbeddingProvider(seed=1, dim=8).embed_many([]).shape == (0, 8)
+
+    @pytest.mark.parametrize("item", [("p", "lone \ud800"), ("lone \udfff", "d")])
+    def test_lone_surrogate_raises_like_mock_embed(self, item):
+        with pytest.raises(UnicodeEncodeError):
+            reference_mock_embed(0, 4, *item)
+        with pytest.raises(UnicodeEncodeError):
+            mock_embed(0, 4, *item)
+        with pytest.raises(UnicodeEncodeError):
+            MockEmbeddingProvider(seed=0, dim=4).embed_many([("p", "d"), item])
+
+
 class TestScriptedChat:
     def test_replay_order(self):
         m1, m2 = ChatMessage("assistant", "one"), ChatMessage("assistant", "two")

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aekit.gateway import MockEmbeddingProvider
+from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import (
     AllZeroDeltas,
     ConceptVector,
@@ -17,7 +19,7 @@ from aekit.measure import (
     score_documents,
 )
 
-from conftest import FixedEmbeddingProvider
+from conftest import FixedEmbeddingProvider, VectorTransport, document_encodings
 
 
 def oracle_leading_direction(deltas):
@@ -182,6 +184,66 @@ class TestExtractConceptVector:
         v1 = extract_concept_vector(probes, PAIR, provider).direction
         v2 = extract_concept_vector(probes, swapped, provider).direction
         assert np.allclose(v1, v2, atol=1e-8)
+
+
+class CountingProvider:
+    """Wraps a provider and records the items of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.calls = []
+
+    def embed(self, system_prompt, document):
+        self.calls.append([(system_prompt, document)])
+        return self.inner.embed(system_prompt, document)
+
+    def embed_many(self, items):
+        self.calls.append(list(items))
+        return self.inner.embed_many(items)
+
+
+def remote_provider(monkeypatch, transport, **overrides):
+    monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+    cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN", **overrides)
+    return RemoteEmbeddingProvider(cfg, transport)
+
+
+class TestExtractionCalls:
+    PROBES = ProbeSet(tuple(f"<probe {i:03d}>" for i in range(40)))
+
+    def test_both_poles_go_in_one_call_positives_first(self):
+        provider = CountingProvider(MockEmbeddingProvider(seed=4, dim=16))
+        extract_concept_vector(self.PROBES, PAIR, provider)
+        assert provider.calls == [
+            [(PAIR.positive, p) for p in self.PROBES.probes]
+            + [(PAIR.negative, p) for p in self.PROBES.probes]
+        ]
+
+    def test_direction_equals_two_separate_blocks(self):
+        mock = MockEmbeddingProvider(seed=4, dim=16)
+        concept = extract_concept_vector(self.PROBES, PAIR, mock)
+        pos = mock.embed_many([(PAIR.positive, p) for p in self.PROBES.probes])
+        neg = mock.embed_many([(PAIR.negative, p) for p in self.PROBES.probes])
+        expected = first_principal_component(compute_deltas(pos, neg))
+        assert concept.direction.tobytes() == expected.tobytes()
+
+    def test_remote_provider_sends_both_poles_in_chunks(self, monkeypatch):
+        transport = VectorTransport(dim=8)
+        provider = remote_provider(monkeypatch, transport, batch_size=32)
+        extract_concept_vector(self.PROBES, PAIR, provider)
+        # ceil(80 / 32) requests; one call per pole would need 2 * ceil(40 / 32) = 4.
+        assert [len(r) for r in transport.requests] == [32, 32, 16]
+
+    @pytest.mark.parametrize("index", [0, 39])
+    def test_remote_cache_keys_encode_each_probe_once(self, monkeypatch, tmp_path, index):
+        transport = VectorTransport(dim=8)
+        # mock_embed would count too.
+        transport.vector = lambda text: np.frombuffer(hashlib.sha256(text.encode()).digest()[:8], np.uint8) / 255
+        provider = remote_provider(monkeypatch, transport, cache_dir=str(tmp_path / "cache"))
+        probe = self.PROBES.probes[index]
+        call = lambda: extract_concept_vector(self.PROBES, PAIR, provider)  # noqa: E731
+        assert document_encodings(monkeypatch, probe, call) == 1
 
 
 class TestProjectScore:

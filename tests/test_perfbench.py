@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 
-from aekit.gateway import ProviderConfig, RemoteEmbeddingProvider
+from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
+from aekit.measure import ProbeSet, PromptPair, extract_concept_vector
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +34,17 @@ def test_remote_provider_batches_against_the_benchmark_server(monkeypatch):
     counters = server.counters()
     assert counters.embed_requests == 2
     assert counters.embed_items == 40
+
+
+def test_mock_layer_sees_one_embed_many_span_per_extraction(monkeypatch):
+    # train's gateway.mock_embed_s sums the gateway.mock.* spans of the
+    # provider proxy; this pins that extraction reaches the mock through it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    store = tracing.SpanStore()
+    provider = tracing.provider_proxy(store, MockEmbeddingProvider(seed=3, dim=16))
+    probes = ProbeSet(tuple(f"probe {i}" for i in range(7)))
+    pair = PromptPair("easy pole", "hard pole", "plain reading", "test-concept")
+    extract_concept_vector(probes, pair, provider)
+    assert [s.name for s in store.spans] == ["gateway.mock.embed_many"]
+    assert sum(s.attrs["items"] for s in store.spans) == 2 * probes.count
