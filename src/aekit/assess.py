@@ -10,13 +10,13 @@ confidently wrong classifier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .jsonio import canonical_dumps
+from .jsonio import LoadableArtifact, checked_input, json_object, read_text, versioned
 from .measure import (
     ConceptVector,
     ProbeSet,
@@ -88,30 +88,21 @@ class PitfallSpec:
 
 def load_pitfall_specs(path: str | None = None) -> list[PitfallSpec]:
     """Pitfall prompt bank from a JSON file, defaulting to the shipped asset."""
-    if path is None:
-        from importlib import resources
-
-        text = resources.files("aekit.assets").joinpath("pitfalls.json").read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    specs = []
-    for item in doc["pitfalls"]:
-        specs.append(
+    with checked_input(f"pitfalls {path or 'asset'}"):
+        asset = resources.files("aekit.assets").joinpath("pitfalls.json")
+        text = asset.read_text("utf-8") if path is None else read_text(path)
+        specs = [
             PitfallSpec(
                 pitfall_id=item["pitfall_id"],
                 name=item["name"],
-                prompts=PromptPair(
-                    positive=item["positive"],
-                    negative=item["negative"],
-                    neutral=item["neutral"],
-                    concept_name=f"pitfall-{item['pitfall_id']}-{item['name']}",
+                prompts=PromptPair.from_dict(
+                    {**item, "concept_name": f"pitfall-{item['pitfall_id']}-{item['name']}"}
                 ),
             )
-        )
-    if len({s.pitfall_id for s in specs}) != len(specs):
-        raise ValueError("pitfall_ids must be unique")
+            for item in json_object(text)["pitfalls"]
+        ]
+        if len({s.pitfall_id for s in specs}) != len(specs):
+            raise ValueError("pitfall_ids must be unique")
     return specs
 
 
@@ -124,7 +115,7 @@ class PitfallBankEntry:
 
 
 @dataclass(frozen=True)
-class PitfallBank:
+class PitfallBank(LoadableArtifact):
     """Ordered per-pitfall concepts plus the neutral prompts used to score."""
 
     entries: tuple[PitfallBankEntry, ...]
@@ -142,33 +133,29 @@ class PitfallBank:
     def pitfall_ids(self) -> list[str]:
         return [e.pitfall_id for e in self.entries]
 
-    def to_json(self) -> str:
-        return canonical_dumps(
-            {
-                "version": 1,
-                "entries": [
-                    {
-                        "pitfall_id": e.pitfall_id,
-                        "name": e.name,
-                        "neutral_prompt": e.neutral_prompt,
-                        "concept": json.loads(e.concept.to_json()),
-                    }
-                    for e in self.entries
-                ],
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "version": 1,
+            "entries": [
+                {
+                    "pitfall_id": e.pitfall_id,
+                    "name": e.name,
+                    "neutral_prompt": e.neutral_prompt,
+                    "concept": e.concept.to_dict(),
+                }
+                for e in self.entries
+            ],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "PitfallBank":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported pitfall bank version: {doc.get('version')}")
+    def from_dict(cls, doc: dict) -> "PitfallBank":
+        doc = versioned(doc, "pitfall bank")
         entries = tuple(
             PitfallBankEntry(
                 pitfall_id=e["pitfall_id"],
                 name=e["name"],
                 neutral_prompt=e["neutral_prompt"],
-                concept=ConceptVector.from_json(canonical_dumps(e["concept"])),
+                concept=ConceptVector.from_dict(e["concept"]),
             )
             for e in doc["entries"]
         )
@@ -356,7 +343,7 @@ class PitfallClassifier:
 
 
 @dataclass(frozen=True)
-class AssessorModel:
+class AssessorModel(LoadableArtifact):
     """Ordered per-pitfall classifiers; order matches the bank."""
 
     mode: str
@@ -371,29 +358,25 @@ class AssessorModel:
     def pitfall_ids(self) -> list[str]:
         return [c.pitfall_id for c in self.classifiers]
 
-    def to_json(self) -> str:
-        return canonical_dumps(
-            {
-                "version": 1,
-                "mode": self.mode,
-                "classifiers": [
-                    {
-                        "pitfall_id": c.pitfall_id,
-                        "status": c.status,
-                        "weights": list(c.weights),
-                        "bias": c.bias,
-                        "trained_on": c.trained_on,
-                    }
-                    for c in self.classifiers
-                ],
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "version": 1,
+            "mode": self.mode,
+            "classifiers": [
+                {
+                    "pitfall_id": c.pitfall_id,
+                    "status": c.status,
+                    "weights": list(c.weights),
+                    "bias": c.bias,
+                    "trained_on": c.trained_on,
+                }
+                for c in self.classifiers
+            ],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "AssessorModel":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported assessor model version: {doc.get('version')}")
+    def from_dict(cls, doc: dict) -> "AssessorModel":
+        doc = versioned(doc, "assessor model")
         classifiers = tuple(
             PitfallClassifier(
                 pitfall_id=c["pitfall_id"],
@@ -487,7 +470,7 @@ class PitfallFinding:
 
 
 @dataclass(frozen=True)
-class PitfallReport:
+class PitfallReport(LoadableArtifact):
     paper_id: str
     findings: tuple[PitfallFinding, ...]
 
@@ -505,9 +488,6 @@ class PitfallReport:
                 for f in self.findings
             ],
         }
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PitfallReport":

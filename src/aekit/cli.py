@@ -3,15 +3,15 @@
 Subcommands: extract-concept, calibrate, rate, prepare, assess-train,
 assess, pipeline, evaluate.  Provider settings come from the --config
 file (see load_pipeline_config); --seed overrides the configured seed.
-Exit codes: 0 on batch completion, 2 on configuration errors (including a
-calibration split that lacks one label class).
+Exit codes: 0 on batch completion, 2 on configuration errors, including a
+malformed input file (the message names it), an --n-train out of range
+and a calibration split that lacks one label class.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -33,8 +33,8 @@ from .corpus import (
     load_ground_truth,
     seeded_split,
 )
-from .jsonio import canonical_dumps, read_text, write_text
-from .measure import ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
+from .jsonio import checked_input, json_object, load_artifact, read_text, write_text
+from .measure import MIN_PROBES, ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
 from .metrics import count_confusion, metric_set, render_confusion_table
 from .pipeline import (
     ConfigError,
@@ -73,19 +73,10 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-def _json_object(text: str, source: str) -> dict:
-    """``text`` parsed as one JSON object; ConfigError naming ``source`` otherwise."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source} is not a JSON object")
-    return doc
-
-
-def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int):
-    """The stage's seeded training split, in train-id order."""
+def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int, minimum: int):
+    """The stage's seeded training split of at least ``minimum`` papers, in train-id order."""
+    if n_train < minimum:
+        raise ConfigError(f"--n-train must be at least {minimum}, got {n_train}")
     subset = filter_for_stage(load_corpus(corpus_dir).entries, stage)
     if len(subset) <= n_train:
         raise ConfigError(
@@ -99,17 +90,8 @@ def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int):
 def _cmd_extract_concept(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    train = _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed)
-    if args.prompts:
-        doc = json.loads(read_text(args.prompts))
-        prompts = PromptPair(
-            positive=doc["positive"],
-            negative=doc["negative"],
-            neutral=doc["neutral"],
-            concept_name=doc["concept_name"],
-        )
-    else:
-        prompts = load_default_rate_prompts()
+    train = _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, MIN_PROBES)
+    prompts = load_artifact(PromptPair, args.prompts) if args.prompts else load_default_rate_prompts()
     probes = ProbeSet(
         tuple(
             compose_rate_document(RateInput(e.paper_id, e.paper_text, e.readme_text))
@@ -125,10 +107,11 @@ def _cmd_extract_concept(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    concept = ConceptVector.from_json(read_text(args.concept))
+    concept = load_artifact(ConceptVector, args.concept)
     neutral = load_default_rate_prompts().neutral
+    # A cutoff is calibrated on at least two papers, one of each label.
     train = [
-        e for e in _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed)
+        e for e in _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, 2)
         if e.ground_truth is not None and e.ground_truth.manually_runnable is not None
     ]
     docs = [compose_rate_document(RateInput(e.paper_id, e.paper_text, e.readme_text)) for e in train]
@@ -148,8 +131,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_rate(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    concept = ConceptVector.from_json(read_text(args.concept))
-    cutoff = Cutoff.from_json(read_text(args.cutoff))
+    concept = load_artifact(ConceptVector, args.concept)
+    cutoff = load_artifact(Cutoff, args.cutoff)
     loaded = load_corpus(args.corpus)
     entries = filter_for_stage(loaded.entries, STAGE_RATE)
     neutral = load_default_rate_prompts().neutral
@@ -172,31 +155,22 @@ def _cmd_prepare(args) -> int:
     bundle_dir = Path(args.bundle)
     if not (bundle_dir / "paper.txt").is_file() or not (bundle_dir / "source.ref").is_file():
         raise ConfigError(f"bundle {bundle_dir} needs paper.txt and source.ref")
-    try:
+    with checked_input(f"bundle {bundle_dir}"):
         entry = _read_paper_dir(bundle_dir)
-        bundle = ArtifactBundle(
-            paper_id=entry.paper_id,
-            paper_text=entry.paper_text,
-            source_ref=entry.source_ref,
-            readme_text=entry.readme_text,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bundle {bundle_dir}: {exc}") from exc
+        bundle = ArtifactBundle(entry.paper_id, entry.paper_text, entry.source_ref, entry.readme_text)
 
     spec = config.prepare.sandbox
     if args.backend is not None:
         spec = dataclasses.replace(spec, backend=args.backend)
     limits = config.prepare.limits
     if args.limits:
-        doc = _json_object(read_text(args.limits), f"limits {args.limits}")
-        try:
+        with checked_input(f"limits {args.limits}"):
+            doc = json_object(read_text(args.limits))
             limits = PrepareLimits(
                 max_iterations=int(doc.get("max_iterations", limits.max_iterations)),
                 command_timeout=float(doc.get("timeout", limits.command_timeout)),
                 output_cap=int(doc.get("output_cap", limits.output_cap)),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"limits {args.limits}: {exc}") from exc
     chat = build_chat_factory(config.chat)(bundle.paper_id)
     outcome = run_prepare_loop(bundle, spec, chat, limits)
     write_text(args.out_file, outcome.to_json())
@@ -214,7 +188,7 @@ def _assess_features(entries, bank, provider):
 def _cmd_assess_train(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    train = _train_entries(args.corpus, STAGE_ASSESS, args.n_train, config.seed)
+    train = _train_entries(args.corpus, STAGE_ASSESS, args.n_train, config.seed, MIN_PROBES)
     annotations = load_ground_truth(Path(args.annotations))
 
     specs = load_pitfall_specs(args.pitfalls)
@@ -241,8 +215,8 @@ def _cmd_assess_train(args) -> int:
 def _cmd_assess(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
-    bank = PitfallBank.from_json(read_text(args.bank))
-    model = AssessorModel.from_json(read_text(args.model))
+    bank = load_artifact(PitfallBank, args.bank)
+    model = load_artifact(AssessorModel, args.model)
     loaded = load_corpus(args.corpus)
     entries = sorted(loaded.entries, key=lambda e: e.paper_id)
     with open(args.out_file, "w", encoding="utf-8") as fh:
@@ -283,24 +257,26 @@ def _cmd_evaluate(args) -> int:
     ground_truth = load_ground_truth(Path(args.ground_truth))
     pairs = []
     seen: set[str] = set()
-    with open(args.predictions, "r", encoding="utf-8") as fh:
+    with checked_input(f"predictions {args.predictions}"), open(args.predictions, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            source = f"predictions {args.predictions} line {number}"
-            doc = _json_object(line, source)
+            doc = json_object(line, f"line {number}")
             paper_id = doc.get("paper_id")
             if paper_id is None:
-                raise ConfigError(f"{source} has no paper_id")
+                raise ValueError(f"line {number} has no paper_id")
             if paper_id in seen:
-                raise ConfigError(f"predictions name paper {paper_id!r} more than once")
+                raise ValueError(f"predictions name paper {paper_id!r} more than once")
             seen.add(paper_id)
             record = ground_truth.get(paper_id)
             if record is None or record.manually_runnable is None:
                 continue
             if args.field == "rate":
-                label = doc["label"] if "label" in doc else (doc.get("rate") or {}).get("label")
+                rate = doc.get("rate") or {}
+                if not isinstance(rate, dict):
+                    raise ValueError(f"line {number} has a rate that is not a JSON object")
+                label = doc.get("label", rate.get("label"))
             else:
                 label = doc.get("pipeline_label")
             if label is not None:
@@ -313,7 +289,7 @@ def _cmd_evaluate(args) -> int:
     if args.out_file:
         write_text(args.out_file, ms.to_json())
     print(table)
-    print(canonical_dumps(json.loads(ms.to_json())))
+    print(ms.to_json())
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .jsonio import canonical_dumps
+from .jsonio import LoadableArtifact, canonical_dumps
 from .measure import as_embedding
 
 CHAT_ROLES = ("system", "user", "assistant", "tool")
@@ -61,7 +61,7 @@ class ScriptExhausted(GatewayError):
 
 
 @dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(LoadableArtifact):
     role: str
     content: str
 
@@ -100,6 +100,8 @@ class ProviderConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
+        if not self.endpoint_url.startswith(("http://", "https://")):
+            raise ValueError(f"endpoint_url must be an http(s) URL, got {self.endpoint_url!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if not 0 <= self.max_retries <= 5:

@@ -22,10 +22,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .jsonio import LoadableArtifact, versioned
+
 if TYPE_CHECKING:
     from .gateway import EmbeddingProvider
 
 DEGENERATE_FROBENIUS_TOL = 1e-12
+MIN_PROBES = 3
 UNIT_NORM_TOL = 1e-9
 
 SIGN_CONVENTION_MEAN_POSITIVE = "mean-positive"
@@ -63,6 +66,15 @@ class PromptPair:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "PromptPair":
+        return cls(
+            positive=doc["positive"],
+            negative=doc["negative"],
+            neutral=doc["neutral"],
+            concept_name=doc["concept_name"],
+        )
+
 
 @dataclass(frozen=True)
 class ProbeSet:
@@ -71,9 +83,9 @@ class ProbeSet:
     probes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probes) < 3:
+        if len(self.probes) < MIN_PROBES:
             raise ValueError(
-                f"need at least 3 probing texts for a nondegenerate spread, got {len(self.probes)}"
+                f"need at least {MIN_PROBES} probing texts for a nondegenerate spread, got {len(self.probes)}"
             )
         if any(not p.strip() for p in self.probes):
             raise ValueError("probing texts must be nonempty")
@@ -182,7 +194,7 @@ def first_principal_component(deltas: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ConceptVector:
+class ConceptVector(LoadableArtifact):
     """A distilled unit direction plus the provenance needed to reuse it.
 
     Scores computed against a ConceptVector are only comparable when
@@ -221,28 +233,22 @@ class ConceptVector:
     def dim(self) -> int:
         return int(self.direction.size)
 
-    def to_json(self) -> str:
-        """Versioned canonical JSON; float round-trip is lossless."""
-        from .jsonio import canonical_dumps
-
-        return canonical_dumps(
-            {
-                "version": 1,
-                "concept_name": self.concept_name,
-                "provider_id": self.provider_id,
-                "prompt_digest": self.prompt_digest,
-                "probe_count": self.probe_count,
-                "dim": self.dim,
-                "sign_convention": self.sign_convention,
-                "direction": [float(v) for v in self.direction],
-            }
-        )
+    def to_dict(self) -> dict:
+        """Versioned fields; the floats round-trip through canonical JSON losslessly."""
+        return {
+            "version": 1,
+            "concept_name": self.concept_name,
+            "provider_id": self.provider_id,
+            "prompt_digest": self.prompt_digest,
+            "probe_count": self.probe_count,
+            "dim": self.dim,
+            "sign_convention": self.sign_convention,
+            "direction": self.direction.tolist(),
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "ConceptVector":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported concept vector version: {doc.get('version')}")
+    def from_dict(cls, doc: dict) -> "ConceptVector":
+        doc = versioned(doc, "concept vector")
         direction = np.asarray(doc["direction"], dtype=np.float64)
         if direction.size != doc["dim"]:
             raise ValueError("declared dim does not match direction length")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .jsonio import canonical_dumps
+from .jsonio import Artifact
 
 PERCENT_CONSISTENCY_TOL = 0.005
 
@@ -48,7 +48,7 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class MetricSet:
+class MetricSet(Artifact):
     """Derived metrics; None marks an undefined (zero-denominator) cell."""
 
     accuracy: float | None
@@ -57,17 +57,15 @@ class MetricSet:
     f1: float | None
     f2: float | None
 
-    def to_json(self) -> str:
-        return canonical_dumps(
-            {
-                "version": 1,
-                "accuracy": self.accuracy,
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-                "f2": self.f2,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "version": 1,
+            "accuracy": self.accuracy,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f1": self.f1,
+            "f2": self.f2,
+        }
 
 
 def count_confusion(pairs: Iterable[tuple[bool, bool]]) -> ConfusionMatrix:

@@ -10,7 +10,6 @@ without aborting the batch.
 from __future__ import annotations
 
 import configparser
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,7 +28,8 @@ from .gateway import (
     RemoteEmbeddingProvider,
     ScriptedChatProvider,
 )
-from .jsonio import canonical_dumps, dumps_jsonl, read_text
+from .jsonio import ConfigError, LoadableArtifact, checked_input, dumps_jsonl, json_object
+from .jsonio import load_artifact, read_text, versioned
 from .measure import ConceptVector
 from .metrics import ConfusionMatrix, count_confusion, metric_set, render_confusion_table
 from .prepare import (
@@ -52,10 +52,6 @@ from .sandbox import SandboxSpec
 PIPELINE_RUNS = "runs"
 PIPELINE_NOT_RUNS = "not_runs"
 PIPELINE_SKIPPED = "skipped"
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete pipeline configuration."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +109,8 @@ class PipelineConfig:
             raise ConfigError("assess stage enabled but bank/model paths missing")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.embedding.kind == "mock" and self.embedding.dim < 1:
+            raise ConfigError("mock embedding dim must be >= 1")
 
 
 def _provider_config(section: configparser.SectionProxy) -> ProviderConfig:
@@ -243,9 +241,11 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
     if settings.kind == "scripted":
         if not settings.script_path:
             raise ConfigError("scripted chat requires a script path")
-        scripts = json.loads(read_text(settings.script_path))
-        if not isinstance(scripts, dict):
-            raise ConfigError("chat script file must map paper ids to message lists")
+        with checked_input(f"chat script {settings.script_path}"):
+            scripts = json_object(read_text(settings.script_path))
+            for script in scripts.values():
+                if not isinstance(script, list) or not all(isinstance(m, str) for m in script):
+                    raise ValueError("every script must be a list of strings")
 
         def factory(paper_id: str) -> ChatProvider:
             script = scripts.get(paper_id, scripts.get("*"))
@@ -260,7 +260,7 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
 
 
 @dataclass(frozen=True)
-class PrepareSummary:
+class PrepareSummary(LoadableArtifact):
     """Deterministic digest of a prepare run for the batch report.
 
     Durations and snapshot refs are wall-clock-dependent, so they stay in
@@ -309,7 +309,7 @@ class PrepareSummary:
 
 
 @dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(LoadableArtifact):
     paper_id: str
     seed: int
     pipeline_label: str
@@ -330,14 +330,9 @@ class VerdictReport:
             "errors": list(self.errors),
         }
 
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
     @classmethod
-    def from_json(cls, text: str) -> "VerdictReport":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported verdict report version: {doc.get('version')}")
+    def from_dict(cls, doc: dict) -> "VerdictReport":
+        doc = versioned(doc, "verdict report")
         return cls(
             paper_id=doc["paper_id"],
             seed=int(doc["seed"]),
@@ -379,12 +374,12 @@ def run_pipeline(
 
     concept = cutoff = neutral = bank = model = None
     if config.rate.enabled:
-        concept = ConceptVector.from_json(read_text(config.rate.concept_path))
-        cutoff = Cutoff.from_json(read_text(config.rate.cutoff_path))
+        concept = load_artifact(ConceptVector, config.rate.concept_path)
+        cutoff = load_artifact(Cutoff, config.rate.cutoff_path)
         neutral = load_default_rate_prompts().neutral
     if config.assess.enabled:
-        bank = PitfallBank.from_json(read_text(config.assess.bank_path))
-        model = AssessorModel.from_json(read_text(config.assess.model_path))
+        bank = load_artifact(PitfallBank, config.assess.bank_path)
+        model = load_artifact(AssessorModel, config.assess.model_path)
 
     if prepare_fn is None:
         def prepare_fn(bundle: ArtifactBundle, chat: ChatProvider) -> PrepareOutcome:
@@ -418,10 +413,7 @@ def run_pipeline(
         if config.prepare.enabled and not gated_out and entry.source_ref:
             try:
                 bundle = ArtifactBundle(
-                    paper_id=entry.paper_id,
-                    paper_text=entry.paper_text,
-                    source_ref=entry.source_ref,
-                    readme_text=entry.readme_text,
+                    entry.paper_id, entry.paper_text, entry.source_ref, entry.readme_text
                 )
                 prepare_outcome = prepare_fn(bundle, chat_factory(entry.paper_id))
                 prepare_summary = PrepareSummary.from_outcome(prepare_outcome)

@@ -15,13 +15,12 @@ converted to a failure with a "premature DONE" diagnosis.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .gateway import ChatMessage, ChatProvider
-from .jsonio import canonical_dumps
+from .jsonio import Artifact, LoadableArtifact, versioned
 from .sandbox import CommandStep, SandboxSpec, open_sandbox
 
 ACTION_RUN = "RUN"
@@ -120,7 +119,7 @@ class PrepareLimits:
 
 
 @dataclass(frozen=True)
-class AgentTranscript:
+class AgentTranscript(LoadableArtifact):
     paper_id: str
     steps: tuple[CommandStep, ...]
     messages: tuple[ChatMessage, ...]
@@ -137,14 +136,9 @@ class AgentTranscript:
             "outcome_detail": self.outcome_detail,
         }
 
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
     @classmethod
-    def from_json(cls, text: str) -> "AgentTranscript":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported transcript version: {doc.get('version')}")
+    def from_dict(cls, doc: dict) -> "AgentTranscript":
+        doc = versioned(doc, "transcript")
         return cls(
             paper_id=doc["paper_id"],
             steps=tuple(CommandStep.from_dict(s) for s in doc["steps"]),
@@ -155,7 +149,7 @@ class AgentTranscript:
 
 
 @dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Artifact):
     failed_command: str
     exit_code: int
     diagnosis_text: str
@@ -169,7 +163,7 @@ class ErrorReport:
 
 
 @dataclass(frozen=True)
-class PrepareOutcome:
+class PrepareOutcome(Artifact):
     status: str
     transcript: AgentTranscript
     snapshot_ref: str | None = None
@@ -189,9 +183,6 @@ class PrepareOutcome:
             "error_report": None if self.error_report is None else self.error_report.to_dict(),
             "transcript": self.transcript.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
 
 
 def parse_action(message: ChatMessage) -> AgentAction | None:

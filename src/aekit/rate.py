@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .jsonio import canonical_dumps
+from .jsonio import LoadableArtifact, versioned
 from .measure import ConceptVector, PromptPair, score_documents
 
 LABEL_RUNS = "runs"
@@ -40,7 +40,7 @@ class RateInput:
 
 
 @dataclass(frozen=True)
-class Cutoff:
+class Cutoff(LoadableArtifact):
     """Score threshold plus the calibration evidence behind it."""
 
     threshold: float
@@ -54,22 +54,18 @@ class Cutoff:
         if self.n_train < 2:
             raise ValueError("calibration needs at least 2 training examples")
 
-    def to_json(self) -> str:
-        return canonical_dumps(
-            {
-                "version": 1,
-                "threshold": self.threshold,
-                "train_recall": self.train_recall,
-                "train_precision": self.train_precision,
-                "n_train": self.n_train,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "version": 1,
+            "threshold": self.threshold,
+            "train_recall": self.train_recall,
+            "train_precision": self.train_precision,
+            "n_train": self.n_train,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "Cutoff":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported cutoff version: {doc.get('version')}")
+    def from_dict(cls, doc: dict) -> "Cutoff":
+        doc = versioned(doc, "cutoff")
         return cls(
             threshold=float(doc["threshold"]),
             train_recall=float(doc["train_recall"]),
@@ -79,7 +75,7 @@ class Cutoff:
 
 
 @dataclass(frozen=True)
-class RateVerdict:
+class RateVerdict(LoadableArtifact):
     paper_id: str
     score: float
     label: str
@@ -93,24 +89,20 @@ class RateVerdict:
             "paper_id": self.paper_id,
             "score": self.score,
             "label": self.label,
-            "cutoff_used": json.loads(self.cutoff_used.to_json()),
+            "cutoff_used": self.cutoff_used.to_dict(),
             "concept_ref": {
                 "prompt_digest": self.prompt_digest,
                 "provider_id": self.provider_id,
             },
         }
 
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RateVerdict":
-        cut = doc["cutoff_used"]
         return cls(
             paper_id=doc["paper_id"],
             score=float(doc["score"]),
             label=doc["label"],
-            cutoff_used=Cutoff.from_json(canonical_dumps(cut)),
+            cutoff_used=Cutoff.from_dict(doc["cutoff_used"]),
             prompt_digest=doc["concept_ref"]["prompt_digest"],
             provider_id=doc["concept_ref"]["provider_id"],
         )
@@ -119,13 +111,7 @@ class RateVerdict:
 def load_default_rate_prompts() -> PromptPair:
     """The versioned prompt asset shipped with the package."""
     text = resources.files("aekit.assets").joinpath("rate_prompts.json").read_text("utf-8")
-    doc = json.loads(text)
-    return PromptPair(
-        positive=doc["positive"],
-        negative=doc["negative"],
-        neutral=doc["neutral"],
-        concept_name=doc["concept_name"],
-    )
+    return PromptPair.from_dict(json.loads(text))
 
 
 def compose_rate_document(input: RateInput) -> str:

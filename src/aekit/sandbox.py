@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .jsonio import LoadableArtifact
+
 BACKEND_LOCAL = "local_process"
 BACKEND_CONTAINER = "container"
 
@@ -67,7 +69,7 @@ class SandboxSpec:
 
 
 @dataclass(frozen=True)
-class CommandStep:
+class CommandStep(LoadableArtifact):
     command: str
     exit_code: int
     stdout_tail: str

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -7,15 +8,17 @@ from aekit.cli import EXIT_CONFIG, EXIT_OK, main
 from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
 
 
-@pytest.fixture
-def workspace(tmp_path, mock_corpus_path, prepare_scripts_path):
-    """A scratch dir with the mock corpus, scripts, and a pipeline config."""
-    corpus = tmp_path / "corpus"
-    shutil.copytree(mock_corpus_path, corpus)
-    scripts = tmp_path / "scripts.json"
-    shutil.copy(prepare_scripts_path, scripts)
+DATA = Path(__file__).parent / "data"
 
-    config = tmp_path / "pipeline.ini"
+
+def make_workspace(root, corpus_src, scripts_src):
+    """The mock corpus, the chat scripts and a pipeline config under ``root``."""
+    corpus = root / "corpus"
+    shutil.copytree(corpus_src, corpus)
+    scripts = root / "scripts.json"
+    shutil.copy(scripts_src, scripts)
+
+    config = root / "pipeline.ini"
     config.write_text(
         "[embedding]\n"
         "kind = mock\n"
@@ -28,18 +31,18 @@ def workspace(tmp_path, mock_corpus_path, prepare_scripts_path):
         "\n"
         "[rate]\n"
         "enabled = true\n"
-        f"concept = {tmp_path / 'concept.json'}\n"
-        f"cutoff = {tmp_path / 'cutoff.json'}\n"
+        f"concept = {root / 'concept.json'}\n"
+        f"cutoff = {root / 'cutoff.json'}\n"
         "\n"
         "[assess]\n"
         "enabled = true\n"
-        f"bank = {tmp_path / 'bank.json'}\n"
-        f"model = {tmp_path / 'model.json'}\n"
+        f"bank = {root / 'bank.json'}\n"
+        f"model = {root / 'model.json'}\n"
         "\n"
         "[prepare]\n"
         "enabled = true\n"
         "backend = local\n"
-        f"workdir = {tmp_path / 'boxes'}\n"
+        f"workdir = {root / 'boxes'}\n"
         "max_iterations = 8\n"
         "command_timeout = 30\n"
         "\n"
@@ -47,7 +50,23 @@ def workspace(tmp_path, mock_corpus_path, prepare_scripts_path):
         "gate = true\n"
         "seed = 0\n"
     )
-    return tmp_path, corpus, config
+    return root, corpus, config
+
+
+@pytest.fixture
+def workspace(tmp_path, mock_corpus_path, prepare_scripts_path):
+    """A scratch dir with the mock corpus, scripts, and a pipeline config."""
+    return make_workspace(tmp_path, mock_corpus_path, prepare_scripts_path)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A workspace whose concept, cutoff, bank and model are built once per module."""
+    root, corpus, config = make_workspace(
+        tmp_path_factory.mktemp("trained"), DATA / "mock_corpus", DATA / "prepare_scripts.json"
+    )
+    build_assets(root, corpus, config)
+    return root, corpus, config
 
 
 def run_cli(*argv):
@@ -286,22 +305,133 @@ class TestConfigErrors:
             ("evaluate", '{"paper_id": "p001", "pipeline_label": "runs"}\nnot json\n', "line 2 is not valid JSON"),
             ("evaluate", "[]\n", "line 1 is not a JSON object"),
             ("evaluate", '{"pipeline_label": "runs"}\n', "line 1 has no paper_id"),
+            ("evaluate-rate", '{"paper_id": "p001", "rate": "runs"}\n',
+             "line 1 has a rate that is not a JSON object"),
+            ("prepare", b"\xff{}", "can't decode byte 0xff"),
+            ("evaluate", b"\xff\n", "can't decode byte 0xff"),
         ],
         ids=["limits-json", "limits-array", "limits-negative", "limits-type",
-             "predictions-json", "predictions-array", "predictions-no-id"],
+             "predictions-json", "predictions-array", "predictions-no-id", "predictions-rate-string",
+             "limits-utf8", "predictions-utf8"],
     )
     def test_malformed_json_input_exits_2(self, workspace, capsys, command, content, message):
         tmp_path, corpus, config = workspace
         given = tmp_path / "input.json"
-        given.write_text(content)
+        given.write_bytes(content if isinstance(content, bytes) else content.encode())
         if command == "prepare":
             argv = ["--config", config, "prepare", "--bundle", corpus / "p001", "--backend", "local",
                     "--limits", given, "--out-file", tmp_path / "x.json"]
         else:
             argv = ["evaluate", "--predictions", given, "--ground-truth", corpus / "ground_truth.csv",
                     "--out-file", tmp_path / "x.json"]
+            if command == "evaluate-rate":
+                argv += ["--field", "rate"]
         assert run_cli(*argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
         assert str(given) in err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            ("calibrate", "concept"), ("rate", "concept"), ("rate", "cutoff"),
+            ("assess", "bank"), ("assess", "model"), ("pipeline", "concept"),
+            ("pipeline", "cutoff"), ("pipeline", "bank"), ("pipeline", "model"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[]", "is not a JSON object"),
+            ("{bad", "is not valid JSON"),
+            ('{"version": 2}', "unsupported {kind} version: 2"),
+            ('{"version": 1}', "missing field"),
+        ],
+        ids=["array", "json", "version-2", "no-fields"],
+    )
+    def test_malformed_artifact_exits_2(
+        self, trained, tmp_path, capsys, command, artifact, content, message
+    ):
+        root, corpus, config = trained
+        files = {name: root / f"{name}.json" for name in ("concept", "cutoff", "bank", "model")}
+        files[artifact] = given = tmp_path / f"{artifact}.json"
+        given.write_text(content)
+        out = tmp_path / "out"
+        if command == "pipeline":
+            text = config.read_text().replace(str(root / f"{artifact}.json"), str(given))
+            (tmp_path / "pipeline.ini").write_text(text)
+            argv = ["--config", tmp_path / "pipeline.ini", "--out", out, "pipeline", "--corpus", corpus]
+        else:
+            argv = ["--config", config, command, "--corpus", corpus, "--out-file", out]
+            argv += {
+                "calibrate": ["--concept", files["concept"], "--n-train", "3"],
+                "rate": ["--concept", files["concept"], "--cutoff", files["cutoff"]],
+                "assess": ["--bank", files["bank"], "--model", files["model"]],
+            }[command]
+        assert run_cli(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(given) in err
+        kind = {"concept": "concept vector", "cutoff": "cutoff", "bank": "pitfall bank",
+                "model": "assessor model"}[artifact]
+        assert message.format(kind=kind) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, content, message",
+        [
+            ("--prompts", "{bad", "is not valid JSON"),
+            ("--prompts", '{"positive": "a"}', "missing field 'negative'"),
+            ("--pitfalls", "{bad", "is not valid JSON"),
+            ("--pitfalls", "[]", "is not a JSON object"),
+            ("--pitfalls", '{"pitfalls": [{"pitfall_id": "P1", "positive": "a", "negative": "b", '
+                           '"neutral": "c"}]}', "missing field 'name'"),
+            ("script", "{bad", "is not valid JSON"),
+            ("script", b"\xff\xfe{}", "can't decode byte 0xff"),
+            ("script", '{"*": "ab"}', "every script must be a list of strings"),
+        ],
+        ids=["prompts-json", "prompts-no-negative", "pitfalls-json", "pitfalls-array",
+             "pitfalls-no-name", "chat-script-json", "chat-script-utf8", "chat-script-string"],
+    )
+    def test_malformed_prompt_or_script_file_exits_2(
+        self, trained, tmp_path, capsys, option, content, message
+    ):
+        root, corpus, config = trained
+        given = tmp_path / "input.json"
+        given.write_bytes(content if isinstance(content, bytes) else content.encode())
+        out = tmp_path / "out.json"
+        if option == "--prompts":
+            argv = ["--config", config, "extract-concept", "--corpus", corpus, "--n-train", "3",
+                    "--prompts", given, "--out-file", out]
+        elif option == "--pitfalls":
+            argv = ["--config", config, "assess-train", "--corpus", corpus,
+                    "--annotations", corpus / "ground_truth.csv", "--n-train", "3",
+                    "--pitfalls", given, "--bank-out", out, "--model-out", tmp_path / "model.json"]
+        else:
+            text = config.read_text().replace(str(root / "scripts.json"), str(given))
+            (tmp_path / "pipeline.ini").write_text(text)
+            argv = ["--config", tmp_path / "pipeline.ini", "prepare", "--bundle", corpus / "p001",
+                    "--out-file", out]
+        assert run_cli(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(given) in err and message in err
+        assert not out.exists() and not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, n_train",
+        [("extract-concept", 2), ("assess-train", 2), ("extract-concept", -1),
+         ("calibrate", -1), ("assess-train", -1)],
+    )
+    def test_n_train_out_of_range_exits_2(self, trained, tmp_path, capsys, command, n_train):
+        root, corpus, config = trained
+        out = tmp_path / "out.json"
+        argv = ["--config", config, command, "--corpus", corpus, "--n-train", n_train]
+        argv += {
+            "extract-concept": ["--out-file", out],
+            "calibrate": ["--concept", root / "concept.json", "--out-file", out],
+            "assess-train": ["--annotations", corpus / "ground_truth.csv",
+                             "--bank-out", out, "--model-out", out],
+        }[command]
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: --n-train must be at least")
+        assert not out.exists()

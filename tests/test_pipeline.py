@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aekit.corpus import CorpusEntry, GroundTruthRecord
-from aekit.gateway import ChatMessage, ScriptedChatProvider
+from aekit.gateway import ChatMessage, ProviderConfig, ScriptedChatProvider
 from aekit.measure import ConceptVector
 from aekit.pipeline import (
     ConfigError,
@@ -12,6 +12,7 @@ from aekit.pipeline import (
     PIPELINE_NOT_RUNS,
     PIPELINE_RUNS,
     PIPELINE_SKIPPED,
+    PrepareSettings,
     PrepareSummary,
     RateSettings,
     VerdictReport,
@@ -20,8 +21,9 @@ from aekit.pipeline import (
     render_report,
     run_pipeline,
 )
-from aekit.prepare import AgentTranscript, OUTCOME_SUCCESS, PrepareOutcome
+from aekit.prepare import AgentTranscript, OUTCOME_SUCCESS, PrepareLimits, PrepareOutcome
 from aekit.rate import Cutoff
+from aekit.sandbox import SandboxSpec
 
 from conftest import done_message, run_message
 
@@ -325,3 +327,50 @@ class TestConfigFile:
         path.write_text("[embedding]\nkind = quantum\n")
         with pytest.raises(ConfigError):
             load_pipeline_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[embedding]\nkind = remote\n",
+            "[embedding]\nkind = remote\nendpoint_url = localhost:8000\nmodel_name = m\n",
+            "[chat]\nkind = remote\n",
+            "[embedding]\nkind = mock\ndim = 0\n",
+        ],
+        ids=["embedding-no-endpoint", "embedding-no-scheme", "chat-no-endpoint", "mock-dim-0"],
+    )
+    def test_section_that_cannot_build_a_provider_is_config_error(self, tmp_path, text):
+        path = tmp_path / "pipe.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_pipeline_config(path)
+
+    def test_every_remote_and_prepare_key_lands_in_its_field(self, tmp_path):
+        path = tmp_path / "pipe.ini"
+        path.write_text(
+            "[embedding]\nkind = remote\nendpoint_url = http://embed.test\nmodel_name = em\n"
+            "auth_token_env = EMBED_TOKEN\ntimeout = 12.5\nmax_retries = 4\nembedding_dim = 256\n"
+            "pooling = last\ncache_dir = /cache\nbatch_size = 7\n\n"
+            "[chat]\nkind = remote\nendpoint_url = https://chat.test\nmodel_name = cm\n"
+            "auth_token_env = CHAT_TOKEN\ntimeout = 30\nmax_retries = 0\n\n"
+            "[prepare]\nenabled = true\nbackend = container\nbase_image = img:1\nnetwork = denied\n"
+            "gpu = true\nworkdir = /boxes\nmax_iterations = 9\ncommand_timeout = 45.5\n"
+            "output_cap = 1024\n"
+        )
+        config = load_pipeline_config(path)
+        assert config.embedding.kind == "remote"
+        assert config.embedding.remote == ProviderConfig(
+            endpoint_url="http://embed.test", model_name="em", auth_token_env="EMBED_TOKEN",
+            timeout=12.5, max_retries=4, embedding_dim=256, pooling="last", cache_dir="/cache",
+            batch_size=7,
+        )
+        assert config.chat.kind == "remote"
+        assert config.chat.remote == ProviderConfig(
+            endpoint_url="https://chat.test", model_name="cm", auth_token_env="CHAT_TOKEN",
+            timeout=30.0, max_retries=0,
+        )
+        assert config.prepare == PrepareSettings(
+            enabled=True,
+            sandbox=SandboxSpec(backend="container", base_image="img:1", network="denied",
+                                gpu=True, workdir="/boxes"),
+            limits=PrepareLimits(max_iterations=9, command_timeout=45.5, output_cap=1024),
+        )
