@@ -4,8 +4,9 @@ Subcommands: extract-concept, calibrate, rate, prepare, assess-train,
 assess, pipeline, evaluate.  Provider settings come from the --config
 file (see load_pipeline_config); --seed overrides the configured seed.
 Exit codes: 0 on batch completion, 2 on configuration errors, including a
-malformed input file (the message names it), an --n-train out of range
-and a calibration split that lacks one label class.
+malformed input file (the message names it), an --n-train out of range,
+a calibration split that lacks one label class and an --annotations file
+that lacks a training paper.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .assess import (
+    AlignmentMismatch,
     AssessorModel,
     PitfallBank,
     assess_document,
@@ -194,15 +196,18 @@ def _cmd_assess_train(args) -> int:
     specs = load_pitfall_specs(args.pitfalls)
     probes = ProbeSet(tuple(e.paper_text for e in train))
     bank = build_pitfall_bank(specs, probes, provider)
-    write_text(args.bank_out, bank.to_json())
-
     features = _assess_features(train, bank, provider)
     pitfall_annotations = {
         pid: rec.pitfalls for pid, rec in annotations.items()
     }
-    model = train_assessor(
-        features, pitfall_annotations, bank.pitfall_ids, mode=args.mode
-    )
+    try:
+        model = train_assessor(
+            features, pitfall_annotations, bank.pitfall_ids, mode=args.mode
+        )
+    except AlignmentMismatch as exc:
+        raise ConfigError(f"annotations {args.annotations}: {exc}") from exc
+    # Both files are written only once the model is trained.
+    write_text(args.bank_out, bank.to_json())
     write_text(args.model_out, model.to_json())
     trained = sum(1 for c in model.classifiers if c.status == "trained")
     print(

@@ -15,10 +15,13 @@ present / partial / absent / unclear.  Empty cells mean "not annotated".
 from __future__ import annotations
 
 import csv
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+from .jsonio import ConfigError, checked_input
 
 STAGE_RATE = "rate"
 STAGE_PREPARE = "prepare"
@@ -39,8 +42,8 @@ class MissingRoot(FileNotFoundError):
     pass
 
 
-class DuplicatePaperId(ValueError):
-    pass
+class DuplicatePaperId(ConfigError):
+    """Two rows of the annotation CSV name one paper."""
 
 
 @dataclass(frozen=True)
@@ -93,22 +96,32 @@ def _parse_bool(raw: str, column: str, paper_id: str) -> bool | None:
 
 
 def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
-    """Parse the annotation CSV; raises on duplicate paper ids."""
+    """Parse the annotation CSV.
+
+    A malformed file (not UTF-8, no paper_id header, an unparsable cell or
+    an invalid record) raises ConfigError naming it; a duplicate paper id
+    raises its subclass DuplicatePaperId.
+    """
     records: dict[str, GroundTruthRecord] = {}
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with checked_input(csv_path), open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "paper_id" not in reader.fieldnames:
-            raise ValueError(f"{csv_path}: header row with paper_id column is mandatory")
+        try:
+            fieldnames = reader.fieldnames
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV: {exc}") from exc
+        if fieldnames is None or "paper_id" not in fieldnames:
+            raise ValueError("header row with paper_id column is mandatory")
         pitfall_columns = [
-            c for c in reader.fieldnames
+            c for c in fieldnames
             if c not in ("paper_id",) + _RUNNABILITY_COLUMNS
         ]
-        for row in reader:
+        for row in rows:
             paper_id = (row.get("paper_id") or "").strip()
             if not paper_id:
-                raise ValueError(f"{csv_path}: row with empty paper_id")
+                raise ValueError("row with empty paper_id")
             if paper_id in records:
-                raise DuplicatePaperId(f"duplicate annotation for {paper_id!r}")
+                raise DuplicatePaperId(f"{csv_path}: duplicate annotation for {paper_id!r}")
             pitfalls = {}
             for col in pitfall_columns:
                 value = (row.get(col) or "").strip().lower()
@@ -124,34 +137,42 @@ def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
     return records
 
 
-def _read_utf8(path: Path) -> str:
-    return path.read_bytes().decode("utf-8")
+def _read_utf8(path: str) -> str | None:
+    """The file's text, or None when there is no file at ``path``.
+
+    One ``open`` stands in for an ``is_file`` check: a missing file, a
+    broken symlink and a directory all read as absent.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        return None
+    return data.decode("utf-8")
 
 
 def _read_paper_dir(
-    paper_dir: Path, ground_truth: GroundTruthRecord | None = None
+    paper_dir: str | Path, ground_truth: GroundTruthRecord | None = None
 ) -> CorpusEntry:
     """One paper directory as an entry, named after the directory.
 
     Raises ValueError when paper.txt is missing, a file is not UTF-8 or
     the entry is invalid.  A whitespace-only source.ref reads as None.
     """
-    paper_path = paper_dir / "paper.txt"
-    if not paper_path.is_file():
-        raise ValueError("missing paper.txt")
-    readme_path = paper_dir / "readme.txt"
-    ref_path = paper_dir / "source.ref"
+    paper_dir = os.fspath(paper_dir)
     try:
-        paper_text = _read_utf8(paper_path)
-        readme_text = _read_utf8(readme_path) if readme_path.is_file() else None
-        source_ref = _read_utf8(ref_path).strip() if ref_path.is_file() else None
+        paper_text = _read_utf8(os.path.join(paper_dir, "paper.txt"))
+        if paper_text is None:
+            raise ValueError("missing paper.txt")
+        readme_text = _read_utf8(os.path.join(paper_dir, "readme.txt"))
+        source_ref = _read_utf8(os.path.join(paper_dir, "source.ref"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"malformed UTF-8: {exc}") from exc
     return CorpusEntry(
-        paper_id=paper_dir.name,
+        paper_id=Path(paper_dir).name,
         paper_text=paper_text,
         readme_text=readme_text,
-        source_ref=source_ref or None,
+        source_ref=(source_ref or "").strip() or None,
         ground_truth=ground_truth,
     )
 
@@ -159,9 +180,11 @@ def _read_paper_dir(
 def load_corpus(root: str | Path) -> LoadedCorpus:
     """Load every paper directory under root, collecting per-entry errors.
 
-    Malformed entries (bad UTF-8, invalid annotations) are skipped and
-    reported in the error list; annotations without a matching directory
-    are reported as well.  Duplicate paper ids raise.
+    Malformed entries (missing paper.txt, bad UTF-8, an invalid entry)
+    are skipped and reported in the error list, and so are annotations
+    without a matching directory.  A malformed ``ground_truth.csv``,
+    including an invalid annotation or a duplicate paper id, raises
+    ConfigError naming the file (see :func:`load_ground_truth`).
     """
     root = Path(root)
     if not root.is_dir():
@@ -170,18 +193,19 @@ def load_corpus(root: str | Path) -> LoadedCorpus:
     gt_path = root / "ground_truth.csv"
     ground_truth = load_ground_truth(gt_path) if gt_path.is_file() else {}
 
+    with os.scandir(root) as listing:
+        paper_ids = sorted(e.name for e in listing if e.is_dir())
     entries: list[CorpusEntry] = []
     errors: list[str] = []
-    seen_dirs: set[str] = set()
-    for paper_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        paper_id = paper_dir.name
-        seen_dirs.add(paper_id)
+    for paper_id in paper_ids:
         try:
-            entries.append(_read_paper_dir(paper_dir, ground_truth.get(paper_id)))
+            entries.append(
+                _read_paper_dir(os.path.join(root, paper_id), ground_truth.get(paper_id))
+            )
         except ValueError as exc:
             errors.append(f"{paper_id}: {exc}")
 
-    for paper_id in sorted(set(ground_truth) - seen_dirs):
+    for paper_id in sorted(set(ground_truth) - set(paper_ids)):
         errors.append(f"{paper_id}: annotation has no matching paper directory")
 
     return LoadedCorpus(entries=tuple(entries), errors=tuple(errors))

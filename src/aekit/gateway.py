@@ -12,8 +12,10 @@ each distinct item once per call.  With a cache directory configured they
 are also cached on disk, keyed by a content digest, so probing the same
 text twice costs one request; without one, no vector outlives its call.
 Both embedding providers JSON-encode each distinct document once per
-``embed_many`` call, however many prompts it is embedded under; the mock
-keeps no vectors between calls either.
+``embed_many`` call, however many prompts it is embedded under.  The mock
+also reuses the previous call's encodings, so the pitfall bank's
+extractions over one probe set encode each probe once; it keeps no
+vectors between calls either.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ class EmbeddingProvider(Protocol):
     Providers may also offer ``embed_many(items) -> (n, d)`` over
     ``(system_prompt, document)`` pairs; callers that embed a block use
     it when present and fall back to one ``embed`` per item otherwise.
-    Both providers here offer it, and encode each distinct document once
-    per call.
+    Both providers here offer it and encode each distinct document once
+    per call; the mock also reuses the previous call's encodings.
     """
 
     provider_id: str
@@ -152,6 +154,9 @@ class MockEmbeddingProvider:
         self.seed = seed
         self.dim = dim
         self.provider_id = f"mock-embed-{seed}-d{dim}"
+        # The last call's prompt states and document encodings (see
+        # embed_many); published whole, never mutated, so threads may share.
+        self._last: tuple[dict, dict] = ({}, {})
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
         return self.embed_many([(system_prompt, document)])[0]
@@ -159,28 +164,42 @@ class MockEmbeddingProvider:
     def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
         """Embed ``(system_prompt, document)`` pairs as an (n, dim) block, in order.
 
-        Row i seeds ``default_rng`` from the sha256 of
-        ``canonical_dumps([seed, prompt, document])``.  That text is the
-        prompt's prefix ``[<seed>,<prompt>,`` followed by the document's
-        ``<document>]``, so each distinct prompt is hashed and each
-        distinct document encoded once per call, and each item only
-        feeds its document's bytes into a copy of its prompt's state.
+        Row i is ``uniform(-1, 1, dim)`` from a ``default_rng`` seeded by
+        the sha256 of ``canonical_dumps([seed, prompt, document])``.  That
+        text is the prompt's prefix ``[<seed>,<prompt>,`` followed by the
+        document's ``<document>]``, so each item only feeds its document's
+        bytes into a copy of its prompt's state.  Each distinct prompt is
+        hashed and each distinct document encoded once per call, and the
+        call reuses the previous call's prompt states and encodings.  It
+        keeps only its own for the next call, so the provider holds one
+        call's encodings at most and a document left out of a call is
+        encoded again when it returns.
         """
+        last_prefixes, last_suffixes = self._last
         prefixes = {}  # prompt -> sha256 state after "[<seed>,<prompt>,"
         suffixes = {}  # document -> UTF-8 of "<document>]"
         block = np.empty((len(items), self.dim))
         for i, (prompt, doc) in enumerate(items):
             prefix = prefixes.get(prompt)
             if prefix is None:
-                head = f"[{canonical_dumps(self.seed)},{canonical_dumps(prompt)},"
-                prefix = prefixes[prompt] = hashlib.sha256(head.encode("utf-8"))
+                prefix = prefixes[prompt] = last_prefixes.get(prompt) or hashlib.sha256(
+                    f"[{canonical_dumps(self.seed)},{canonical_dumps(prompt)},".encode("utf-8")
+                )
             suffix = suffixes.get(doc)
             if suffix is None:
-                suffix = suffixes[doc] = (canonical_dumps(doc) + "]").encode("utf-8")
+                suffix = suffixes[doc] = (
+                    last_suffixes.get(doc) or (canonical_dumps(doc) + "]").encode("utf-8")
+                )
             digest = prefix.copy()
             digest.update(suffix)
             rng = np.random.default_rng(int.from_bytes(digest.digest()[:8], "big"))
-            block[i] = rng.uniform(-1.0, 1.0, size=self.dim)
+            rng.random(out=block[i])
+        self._last = (prefixes, suffixes)
+        # uniform(-1, 1) draws u and returns -1 + 2u; 2u is exact, so
+        # mapping the whole block at once gives the same bits, without
+        # uniform's per-call overhead.
+        block *= 2.0
+        block -= 1.0
         return block
 
 

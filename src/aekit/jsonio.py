@@ -78,9 +78,14 @@ def json_object(text: str, what: str = "the file") -> dict:
 
 @contextmanager
 def checked_input(source):
-    """A decode, shape or field error in the block becomes ConfigError naming ``source``."""
+    """A decode, shape or field error in the block becomes ConfigError naming ``source``.
+
+    A ConfigError raised in the block names its source already and passes through.
+    """
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{source}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

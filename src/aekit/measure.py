@@ -104,9 +104,13 @@ def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
 def _as_block(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Coerce to an n x d float64 block of finite, nonempty 1-D embeddings.
 
-    A float64 block is returned as itself, not copied.
+    A float64 block is returned as itself, not copied, and a 2-D array's
+    shape is checked once rather than row by row.
     """
-    shapes = sorted({np.shape(row) for row in rows})
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        shapes = [rows.shape[1:]] if len(rows) else []
+    else:
+        shapes = sorted({np.shape(row) for row in rows})
     if len(shapes) != 1:
         raise DimensionMismatch(f"need embeddings of one shape, got {shapes}")
     block = np.asarray(rows, dtype=np.float64)

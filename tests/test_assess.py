@@ -101,6 +101,13 @@ class TestBuildBank:
             build_pitfall_bank(make_specs(3), PROBES, FlakyProvider())
         assert set(exc_info.value.failed) == {"P2"}
 
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_mock_encodes_each_probe_once_for_the_whole_bank(self, monkeypatch, index):
+        provider = MockEmbeddingProvider(seed=1, dim=16)
+        probe = PROBES.probes[index]
+        call = lambda: build_pitfall_bank(make_specs(10), PROBES, provider)  # noqa: E731
+        assert document_encodings(monkeypatch, probe, call) == 1
+
     def test_bank_serialization_round_trip(self):
         provider = MockEmbeddingProvider(seed=5, dim=8)
         bank = build_pitfall_bank(make_specs(2), PROBES, provider)

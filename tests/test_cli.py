@@ -435,3 +435,54 @@ class TestConfigErrors:
         assert run_cli(*argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: --n-train must be at least")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "pipeline", "extract-concept", "calibrate", "assess-train"]
+    )
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"p099,definitely,true,true", "cannot parse boolean 'definitely'"),
+            (b"p099,true,true,\xff", "can't decode byte 0xff"),
+            (b"p002,true,true,true", "duplicate annotation for 'p002'"),
+        ],
+        ids=["bad-boolean", "non-utf8", "duplicate-id"],
+    )
+    def test_malformed_ground_truth_exits_2(self, trained, tmp_path, capsys, command, row, message):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_src, corpus)
+        gt = corpus / "ground_truth.csv"
+        gt.write_bytes(gt.read_bytes() + row + b"\n")
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--predictions", tmp_path / "none.jsonl", "--ground-truth", gt,
+                         "--out-file", out],
+            "pipeline": ["--out", out, "pipeline", "--corpus", corpus],
+            "extract-concept": ["extract-concept", "--corpus", corpus, "--n-train", "3", "--out-file", out],
+            "calibrate": ["calibrate", "--corpus", corpus, "--concept", root / "concept.json",
+                          "--n-train", "3", "--out-file", out],
+            "assess-train": ["assess-train", "--corpus", corpus, "--annotations", gt, "--n-train", "3",
+                             "--bank-out", out, "--model-out", out],
+        }[command]
+        (tmp_path / "none.jsonl").write_text("")
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {gt}: ") and message in err
+        assert not out.exists()
+
+    def test_annotations_without_the_training_papers_exit_2_and_write_nothing(
+        self, trained, tmp_path, capsys
+    ):
+        root, corpus, config = trained
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text("paper_id,code_available,readme_present,manually_runnable,P1\n"
+                               "elsewhere,true,true,true,present\n")
+        bank, model = tmp_path / "bank.json", tmp_path / "model.json"
+        assert run_cli(
+            "--config", config, "assess-train", "--corpus", corpus, "--annotations", annotations,
+            "--n-train", "3", "--bank-out", bank, "--model-out", model,
+        ) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: annotations {annotations}: no annotation for paper")
+        assert not bank.exists() and not model.exists()

@@ -15,6 +15,7 @@ from aekit.corpus import (
     load_ground_truth,
     seeded_split,
 )
+from aekit.jsonio import ConfigError
 
 
 def write_corpus(root, papers, csv_rows=None):
@@ -108,6 +109,70 @@ class TestLoadCorpus:
         assert any("paper.txt" in e for e in loaded.errors)
 
 
+class TestPaperFiles:
+    """What ``load_corpus`` makes of files that are absent, odd or not UTF-8."""
+
+    @staticmethod
+    def load(tmp_path, make):
+        write_corpus(tmp_path, {"a": {"paper.txt": "paper a", "source.ref": " url-a \n"},
+                                "b": {"paper.txt": "paper b"}})
+        make(tmp_path / "a")
+        loaded = load_corpus(tmp_path)
+        return [(e.paper_id, e.readme_text, e.source_ref) for e in loaded.entries], list(loaded.errors)
+
+    def test_readme_that_is_a_directory_reads_as_absent(self, tmp_path):
+        entries, errors = self.load(tmp_path, lambda d: (d / "readme.txt").mkdir())
+        assert entries == [("a", None, "url-a"), ("b", None, None)] and errors == []
+
+    def test_source_ref_that_is_a_directory_reads_as_absent(self, tmp_path):
+        def make(d):
+            (d / "source.ref").unlink()
+            (d / "source.ref").mkdir()
+
+        entries, errors = self.load(tmp_path, make)
+        assert entries == [("a", None, None), ("b", None, None)] and errors == []
+
+    def test_broken_readme_symlink_reads_as_absent(self, tmp_path):
+        entries, errors = self.load(tmp_path, lambda d: (d / "readme.txt").symlink_to(d / "nowhere"))
+        assert entries == [("a", None, "url-a"), ("b", None, None)] and errors == []
+
+    def test_readme_symlink_to_a_file_is_read(self, tmp_path):
+        def make(d):
+            (d / "elsewhere.txt").write_text("linked readme", encoding="utf-8")
+            (d / "readme.txt").symlink_to(d / "elsewhere.txt")
+
+        entries, errors = self.load(tmp_path, make)
+        assert entries == [("a", "linked readme", "url-a"), ("b", None, None)] and errors == []
+
+    @pytest.mark.parametrize("how", ["directory", "broken-symlink"])
+    def test_paper_that_is_not_a_file_is_reported_missing(self, tmp_path, how):
+        def make(d):
+            (d / "paper.txt").unlink()
+            if how == "directory":
+                (d / "paper.txt").mkdir()
+            else:
+                (d / "paper.txt").symlink_to(d / "nowhere")
+
+        entries, errors = self.load(tmp_path, make)
+        assert entries == [("b", None, None)] and errors == ["a: missing paper.txt"]
+
+    def test_non_utf8_readme_is_reported(self, tmp_path):
+        entries, errors = self.load(tmp_path, lambda d: (d / "readme.txt").write_bytes(b"ok \xff"))
+        assert entries == [("b", None, None)]
+        assert errors == ["a: malformed UTF-8: 'utf-8' codec can't decode byte 0xff in position 3: "
+                          "invalid start byte"]
+
+    def test_only_directories_are_papers_and_symlinked_ones_count(self, tmp_path):
+        def make(d):
+            (tmp_path / "notes.txt").write_text("not a paper", encoding="utf-8")
+            (tmp_path / "c").symlink_to(d, target_is_directory=True)
+            (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+
+        entries, errors = self.load(tmp_path, make)
+        assert entries == [("a", None, "url-a"), ("b", None, None), ("c", None, "url-a")]
+        assert errors == []
+
+
 class TestGroundTruth:
     def test_readme_implies_code(self):
         with pytest.raises(ValueError):
@@ -124,6 +189,34 @@ class TestGroundTruth:
         )
         with pytest.raises(ValueError):
             load_ground_truth(path)
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"paper_id,code_available\na,definitely\n", "a: column code_available: cannot parse boolean"),
+            (b"paper_id,code_available\na,tru\xe9\n", "can't decode byte 0xe9"),
+            (b"id,code_available\na,true\n", "header row with paper_id column is mandatory"),
+            (b"paper_id,code_available\n,true\n", "row with empty paper_id"),
+            (b"paper_id,code_available,readme_present\na,false,true\n", "a readme implies available code"),
+            (b"paper_id,P1\na,maybe\n", "pitfall P1: unknown annotation 'maybe'"),
+            (b'paper_id,P1\na,"' + b"x" * 200_000 + b'"\n', "malformed CSV: field larger than field limit"),
+        ],
+        ids=["boolean", "utf8", "header", "empty-id", "record", "pitfall", "csv"],
+    )
+    def test_malformed_file_raises_config_error_naming_it(self, tmp_path, content, message):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as raised:
+            load_ground_truth(path)
+        assert str(raised.value).startswith(f"{path}: ") and message in str(raised.value)
+
+    def test_duplicate_paper_id_names_the_file(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("paper_id,code_available\na,true\na,false\n")
+        with pytest.raises(DuplicatePaperId, match="duplicate annotation for 'a'") as raised:
+            load_ground_truth(path)
+        assert isinstance(raised.value, ConfigError) and str(raised.value).startswith(f"{path}: ")
 
 
 def entry(pid, code=None, readme=None, runnable=None, pitfalls=None, with_gt=True):

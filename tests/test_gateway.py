@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from aekit.gateway import (
 from aekit.jsonio import canonical_dumps
 from aekit.pipeline import ConfigError, load_pipeline_config
 
-from conftest import VectorTransport
+from conftest import VectorTransport, document_encodings
 
 
 class FakeTransport:
@@ -139,6 +141,67 @@ class TestMockEmbedMany:
             mock_embed(0, 4, *item)
         with pytest.raises(UnicodeEncodeError):
             MockEmbeddingProvider(seed=0, dim=4).embed_many([("p", "d"), item])
+
+
+class TestMockEmbedManyReuse:
+    """A call reuses the previous call's encodings; rows never change."""
+
+    @staticmethod
+    def assert_formula(block, items, seed=7, dim=8):
+        assert block.shape == (len(items), dim)
+        for row, (prompt, doc) in zip(block, items):
+            assert row.tobytes() == mock_embed(seed, dim, prompt, doc).tobytes()
+
+    def test_consecutive_and_overlapping_calls_keep_the_formula(self):
+        provider = MockEmbeddingProvider(seed=7, dim=8)
+        calls = [
+            [(p, d) for p in MOCK_TEXTS[:2] for d in MOCK_TEXTS[:6]],
+            [(p, d) for p in MOCK_TEXTS[:2] for d in MOCK_TEXTS[:6]],
+            [(p, d) for p in MOCK_TEXTS[1:4] for d in MOCK_TEXTS[3:]],
+            [(d, p) for p in MOCK_TEXTS[:3] for d in MOCK_TEXTS[3:8]],
+            [],
+            [(MOCK_TEXTS[0], MOCK_TEXTS[0])],
+        ]
+        for items in calls:
+            self.assert_formula(provider.embed_many(items), items)
+
+    def test_a_call_that_raised_leaves_later_rows_unchanged(self):
+        provider = MockEmbeddingProvider(seed=7, dim=8)
+        items = [(p, d) for p in MOCK_TEXTS[:3] for d in MOCK_TEXTS[:5]]
+        self.assert_formula(provider.embed_many(items), items)
+        with pytest.raises(UnicodeEncodeError):
+            provider.embed_many(items[:4] + [("p", "lone \ud800")] + items[4:])
+        self.assert_formula(provider.embed_many(items), items)
+        with pytest.raises(UnicodeEncodeError):
+            provider.embed_many([("lone \udfff", MOCK_TEXTS[0])])
+        self.assert_formula(provider.embed_many(items[::-1]), items[::-1])
+
+    def test_threads_sharing_one_provider_keep_the_formula(self):
+        provider = MockEmbeddingProvider(seed=7, dim=8)
+        calls = [
+            [(p, d) for p in MOCK_TEXTS[k % 4:k % 4 + 2] for d in MOCK_TEXTS[k % 5:]]
+            for k in range(200)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(provider.embed_many, items) for items in calls]
+                blocks = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for block, items in zip(blocks, calls):
+            self.assert_formula(block, items)
+
+    def test_a_document_left_out_of_a_call_is_encoded_again(self, monkeypatch):
+        # The provider keeps one call's encodings, not every document it saw.
+        provider = MockEmbeddingProvider(seed=7, dim=8)
+        doc = "the probe paper, " * 50
+        call = lambda: [  # noqa: E731
+            provider.embed_many(items)
+            for items in ([("p", doc)], [("p", "other")], [("p", doc)], [("q", doc)])
+        ]
+        assert document_encodings(monkeypatch, doc, call) == 2
 
 
 class TestScriptedChat:

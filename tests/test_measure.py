@@ -12,6 +12,7 @@ from aekit.measure import (
     DimensionMismatch,
     PromptPair,
     ProbeSet,
+    _as_block,
     compute_deltas,
     extract_concept_vector,
     first_principal_component,
@@ -310,6 +311,57 @@ class TestScoreDocuments:
         concept = ConceptVector(np.array([1.0, 0.0]), "c", "prov", "digest", 3)
         with pytest.raises(DimensionMismatch):
             score_documents(MockEmbeddingProvider(seed=1, dim=3), "p", ["doc"], concept)
+
+
+def row_walking_block(rows):
+    """``_as_block``'s rule written out row by row, as the oracle for its 2-D shortcut."""
+    shapes = sorted({np.shape(row) for row in rows})
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"need embeddings of one shape, got {shapes}")
+    block = np.asarray(rows, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] == 0:
+        raise ValueError(f"embedding must be a nonempty 1-D vector, got shape {shapes[0]}")
+    if not np.isfinite(block).all():
+        raise ValueError("embedding contains non-finite entries")
+    return block
+
+
+class TestAsBlock:
+    def test_a_float64_block_is_returned_as_itself(self):
+        block = np.arange(12.0).reshape(3, 4)
+        assert _as_block(block) is block
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.arange(12, dtype=np.float32).reshape(3, 4),
+            np.arange(12).reshape(4, 3),
+            [np.ones(3), np.zeros(3)],
+            [np.ones(3), np.zeros(4)],
+            [[1.0, 2.0], [3.0]],
+            np.array([[1.0, np.nan], [0.0, 1.0]]),
+            np.array([[1.0, 2.0], [np.inf, 1.0]]),
+            [np.ones(2), np.array([1.0, -np.inf])],
+            np.empty((0, 4)),
+            [],
+            np.empty((3, 0)),
+            np.ones((2, 3, 4)),
+            np.ones(4),
+        ],
+        ids=["float32", "int", "list", "ragged", "ragged-lists", "nan", "inf", "list-inf",
+             "zero-rows", "empty-list", "zero-columns", "3-d", "1-d"],
+    )
+    def test_same_block_or_error_as_walking_the_rows(self, rows):
+        try:
+            expected = row_walking_block(rows)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                _as_block(rows)
+            assert str(raised.value) == str(exc)
+        else:
+            got = _as_block(rows)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+            assert got.shape == expected.shape
 
 
 class TestTypes:
