@@ -12,6 +12,7 @@ from .assess import (
     PitfallReport,
     PitfallSpec,
     assess_document,
+    assess_documents,
     build_pitfall_bank,
     featurize,
     fit_logistic,
@@ -61,7 +62,15 @@ from .prepare import (
     parse_action,
     run_prepare_loop,
 )
-from .rate import Cutoff, RateInput, RateVerdict, calibrate_cutoff, compose_rate_document, rate_document
+from .rate import (
+    Cutoff,
+    RateInput,
+    RateVerdict,
+    calibrate_cutoff,
+    compose_rate_document,
+    rate_document,
+    rate_documents,
+)
 from .sandbox import CommandStep, SandboxSpec, open_sandbox
 
 __version__ = "0.1.0"

@@ -203,23 +203,27 @@ class PitfallFeatureVector:
         return len(self.scores)
 
 
+def _score_matrix(texts: Sequence[str], bank: PitfallBank, provider) -> np.ndarray:
+    """Each text's score under each pitfall, as an (n, m) array in bank order.
+
+    Every text is embedded under every pitfall's neutral prompt, text by
+    text, through one :func:`_score_items` call; each score is one dot
+    with that pitfall's direction, bitwise equal to :func:`project_score`
+    of the embedding.
+    """
+    items = [(e.neutral_prompt, text) for text in texts for e in bank.entries]
+    concepts = [e.concept for e in bank.entries] * len(texts)
+    return _score_items(provider, items, concepts).reshape(len(texts), len(bank))
+
+
 def featurize(
     paper_text: str, bank: PitfallBank, provider, paper_id: str = ""
 ) -> PitfallFeatureVector:
-    """Project one paper onto every pitfall direction in bank order.
-
-    The paper is embedded under every pitfall's neutral prompt in one
-    block; each score is one dot with that pitfall's direction, bitwise
-    equal to :func:`project_score` of the embedding.
-    """
+    """Project one paper onto every pitfall direction in bank order."""
     if len(bank) == 0:
         raise ValueError("pitfall bank is empty")
-    scores = _score_items(
-        provider,
-        [(e.neutral_prompt, paper_text) for e in bank.entries],
-        [e.concept for e in bank.entries],
-    )
-    return PitfallFeatureVector(paper_id=paper_id, scores=tuple(float(s) for s in scores))
+    scores = _score_matrix([paper_text], bank, provider)[0]
+    return PitfallFeatureVector(paper_id=paper_id, scores=tuple(scores.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -503,19 +507,8 @@ class PitfallReport(LoadableArtifact):
         return cls(paper_id=doc["paper_id"], findings=findings)
 
 
-def assess_document(
-    paper_text: str,
-    bank: PitfallBank,
-    model: AssessorModel,
-    provider,
-    paper_id: str = "",
-) -> PitfallReport:
-    """Featurize one paper and apply the per-pitfall classifiers.
-
-    Probability >= 0.5 labels the pitfall present; skipped classifiers
-    produce skipped findings with no probability.  An empty bank yields
-    an empty report.
-    """
+def check_alignment(bank: PitfallBank, model: AssessorModel) -> None:
+    """AlignmentMismatch unless the model has one classifier per bank pitfall, in bank order."""
     if len(bank) != len(model.classifiers):
         raise AlignmentMismatch(
             f"bank has {len(bank)} pitfalls, model has {len(model.classifiers)}"
@@ -525,22 +518,55 @@ def assess_document(
             raise AlignmentMismatch(
                 f"bank/model order mismatch: {entry.pitfall_id} vs {clf.pitfall_id}"
             )
-    if len(bank) == 0:
-        return PitfallReport(paper_id=paper_id, findings=())
 
-    fv = featurize(paper_text, bank, provider, paper_id=paper_id)
+
+def _report(paper_id: str, scores: tuple[float, ...], model: AssessorModel) -> PitfallReport:
+    """The per-pitfall classifiers applied to one paper's feature scores."""
     findings: list[PitfallFinding] = []
     for i, clf in enumerate(model.classifiers):
-        score = fv.scores[i]
+        score = scores[i]
         if clf.status == STATUS_SKIPPED:
             findings.append(
                 PitfallFinding(pitfall_id=clf.pitfall_id, label=LABEL_SKIPPED, probability=None, score=score)
             )
             continue
-        x = np.asarray(fv.scores) if model.mode == MODE_FULL_VECTOR else np.asarray([score])
+        x = np.asarray(scores) if model.mode == MODE_FULL_VECTOR else np.asarray([score])
         prob = float(sigmoid(float(np.asarray(clf.weights) @ x + clf.bias)))
         label = LABEL_PRESENT if prob >= 0.5 else LABEL_ABSENT
         findings.append(
             PitfallFinding(pitfall_id=clf.pitfall_id, label=label, probability=prob, score=score)
         )
     return PitfallReport(paper_id=paper_id, findings=tuple(findings))
+
+
+def assess_documents(
+    papers: Sequence[tuple[str, str]],
+    bank: PitfallBank,
+    model: AssessorModel,
+    provider,
+) -> list[PitfallReport]:
+    """Featurize ``(paper_id, paper_text)`` pairs and apply the per-pitfall classifiers.
+
+    Bank/model alignment is checked once, before anything is embedded.
+    All papers are featurized together, so each score is bitwise equal to
+    the paper's :func:`featurize` score.  Probability >= 0.5 labels the
+    pitfall present; skipped classifiers produce skipped findings with no
+    probability.  An empty bank yields empty reports.
+    """
+    check_alignment(bank, model)
+    scores = _score_matrix([text for _, text in papers], bank, provider)
+    return [
+        _report(paper_id, tuple(row.tolist()), model)
+        for (paper_id, _), row in zip(papers, scores)
+    ]
+
+
+def assess_document(
+    paper_text: str,
+    bank: PitfallBank,
+    model: AssessorModel,
+    provider,
+    paper_id: str = "",
+) -> PitfallReport:
+    """One paper's report: :func:`assess_documents` of one paper."""
+    return assess_documents([(paper_id, paper_text)], bank, model, provider)[0]

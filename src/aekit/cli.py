@@ -5,8 +5,10 @@ assess, pipeline, evaluate.  Provider settings come from the --config
 file (see load_pipeline_config); --seed overrides the configured seed.
 Exit codes: 0 on batch completion, 2 on configuration errors, including a
 malformed input file (the message names it), an --n-train out of range,
-a calibration split that lacks one label class and an --annotations file
-that lacks a training paper.
+a calibration split that lacks one label class, an --annotations file
+that lacks a training paper, a --bank and --model that do not match and
+a paper annotated with a readme that has no readme.txt.  A corpus
+directory that cannot be loaded is skipped and named on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .assess import (
     AlignmentMismatch,
     AssessorModel,
     PitfallBank,
-    assess_document,
+    assess_documents,
     build_pitfall_bank,
     featurize,
     load_pitfall_specs,
@@ -35,7 +37,7 @@ from .corpus import (
     load_ground_truth,
     seeded_split,
 )
-from .jsonio import checked_input, json_object, load_artifact, read_text, write_text
+from .jsonio import checked_input, dumps_jsonl, json_object, load_artifact, read_text, write_text
 from .measure import MIN_PROBES, ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
 from .metrics import count_confusion, metric_set, render_confusion_table
 from .pipeline import (
@@ -57,7 +59,7 @@ from .rate import (
     calibrate_cutoff,
     compose_rate_document,
     load_default_rate_prompts,
-    rate_document,
+    rate_documents,
 )
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,11 +77,29 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
+def _load_corpus(root):
+    """:func:`load_corpus`, naming each skipped entry on stderr."""
+    loaded = load_corpus(root)
+    for error in loaded.errors:
+        print(f"skipped {error}", file=sys.stderr)
+    return loaded
+
+
+def _rate_inputs(entries) -> list[RateInput]:
+    """The entries' rate inputs; ConfigError naming any paper without readme text."""
+    missing = [e.paper_id for e in entries if not e.readme_text]
+    if missing:
+        raise ConfigError(
+            f"readme_present is true but readme.txt is missing or empty for: {', '.join(missing)}"
+        )
+    return [RateInput(e.paper_id, e.paper_text, e.readme_text) for e in entries]
+
+
 def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int, minimum: int):
     """The stage's seeded training split of at least ``minimum`` papers, in train-id order."""
     if n_train < minimum:
         raise ConfigError(f"--n-train must be at least {minimum}, got {n_train}")
-    subset = filter_for_stage(load_corpus(corpus_dir).entries, stage)
+    subset = filter_for_stage(_load_corpus(corpus_dir).entries, stage)
     if len(subset) <= n_train:
         raise ConfigError(
             f"{stage}-eligible corpus has {len(subset)} papers; need more than n_train={n_train}"
@@ -94,12 +114,7 @@ def _cmd_extract_concept(args) -> int:
     provider = build_embedding_provider(config.embedding)
     train = _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, MIN_PROBES)
     prompts = load_artifact(PromptPair, args.prompts) if args.prompts else load_default_rate_prompts()
-    probes = ProbeSet(
-        tuple(
-            compose_rate_document(RateInput(e.paper_id, e.paper_text, e.readme_text))
-            for e in train
-        )
-    )
+    probes = ProbeSet(tuple(compose_rate_document(i) for i in _rate_inputs(train)))
     concept = extract_concept_vector(probes, prompts, provider)
     write_text(args.out_file, concept.to_json())
     print(f"concept vector ({concept.dim} dims, {probes.count} probes) -> {args.out_file}")
@@ -116,7 +131,7 @@ def _cmd_calibrate(args) -> int:
         e for e in _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, 2)
         if e.ground_truth is not None and e.ground_truth.manually_runnable is not None
     ]
-    docs = [compose_rate_document(RateInput(e.paper_id, e.paper_text, e.readme_text)) for e in train]
+    docs = [compose_rate_document(i) for i in _rate_inputs(train)]
     scores = score_documents(provider, neutral, docs, concept).tolist()
     labels = [LABEL_RUNS if e.ground_truth.manually_runnable else LABEL_NOT_RUNS for e in train]
     cutoff = calibrate_cutoff(scores, labels)
@@ -135,20 +150,11 @@ def _cmd_rate(args) -> int:
     provider = build_embedding_provider(config.embedding)
     concept = load_artifact(ConceptVector, args.concept)
     cutoff = load_artifact(Cutoff, args.cutoff)
-    loaded = load_corpus(args.corpus)
-    entries = filter_for_stage(loaded.entries, STAGE_RATE)
-    neutral = load_default_rate_prompts().neutral
-    with open(args.out_file, "w", encoding="utf-8") as fh:
-        for entry in sorted(entries, key=lambda e: e.paper_id):
-            verdict = rate_document(
-                RateInput(entry.paper_id, entry.paper_text, entry.readme_text),
-                concept,
-                cutoff,
-                provider,
-                neutral_prompt=neutral,
-            )
-            fh.write(verdict.to_json() + "\n")
-    print(f"rated {len(entries)} papers -> {args.out_file}")
+    entries = filter_for_stage(_load_corpus(args.corpus).entries, STAGE_RATE)
+    inputs = _rate_inputs(sorted(entries, key=lambda e: e.paper_id))
+    verdicts = rate_documents(inputs, concept, cutoff, provider)
+    write_text(args.out_file, dumps_jsonl(v.to_dict() for v in verdicts))
+    print(f"rated {len(verdicts)} papers -> {args.out_file}")
     return EXIT_OK
 
 
@@ -180,13 +186,6 @@ def _cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _assess_features(entries, bank, provider):
-    return [
-        featurize(e.paper_text, bank, provider, paper_id=e.paper_id)
-        for e in sorted(entries, key=lambda e: e.paper_id)
-    ]
-
-
 def _cmd_assess_train(args) -> int:
     config = _load_config(args)
     provider = build_embedding_provider(config.embedding)
@@ -196,7 +195,10 @@ def _cmd_assess_train(args) -> int:
     specs = load_pitfall_specs(args.pitfalls)
     probes = ProbeSet(tuple(e.paper_text for e in train))
     bank = build_pitfall_bank(specs, probes, provider)
-    features = _assess_features(train, bank, provider)
+    features = [
+        featurize(e.paper_text, bank, provider, paper_id=e.paper_id)
+        for e in sorted(train, key=lambda e: e.paper_id)
+    ]
     pitfall_annotations = {
         pid: rec.pitfalls for pid, rec in annotations.items()
     }
@@ -222,21 +224,21 @@ def _cmd_assess(args) -> int:
     provider = build_embedding_provider(config.embedding)
     bank = load_artifact(PitfallBank, args.bank)
     model = load_artifact(AssessorModel, args.model)
-    loaded = load_corpus(args.corpus)
-    entries = sorted(loaded.entries, key=lambda e: e.paper_id)
-    with open(args.out_file, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            report = assess_document(
-                entry.paper_text, bank, model, provider, paper_id=entry.paper_id
-            )
-            fh.write(report.to_json() + "\n")
-    print(f"assessed {len(entries)} papers -> {args.out_file}")
+    entries = sorted(_load_corpus(args.corpus).entries, key=lambda e: e.paper_id)
+    try:
+        reports = assess_documents(
+            [(e.paper_id, e.paper_text) for e in entries], bank, model, provider
+        )
+    except AlignmentMismatch as exc:
+        raise ConfigError(f"--bank {args.bank} and --model {args.model}: {exc}") from exc
+    write_text(args.out_file, dumps_jsonl(r.to_dict() for r in reports))
+    print(f"assessed {len(reports)} papers -> {args.out_file}")
     return EXIT_OK
 
 
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
-    loaded = load_corpus(args.corpus)
+    loaded = _load_corpus(args.corpus)
     result = run_pipeline(config, loaded.entries)
 
     out_dir = Path(config.out_dir)

@@ -30,6 +30,10 @@ if TYPE_CHECKING:
 DEGENERATE_FROBENIUS_TOL = 1e-12
 MIN_PROBES = 3
 UNIT_NORM_TOL = 1e-9
+# Items per provider call when scoring, so that a stage over many papers
+# holds at most SCORE_CHUNK embeddings at once.  A multiple of
+# gateway.DEFAULT_BATCH_SIZE, so that every chunk fills whole requests.
+SCORE_CHUNK = 1024
 
 SIGN_CONVENTION_MEAN_POSITIVE = "mean-positive"
 
@@ -324,8 +328,6 @@ def score_documents(
     differently, so a score would depend on its batch and could cross a
     cutoff between calibration and rating; hence one dot per row.
     """
-    if not documents:
-        return np.empty(0)
     items = [(system_prompt, doc) for doc in documents]
     return _score_items(provider, items, [concept] * len(items))
 
@@ -335,14 +337,17 @@ def _score_items(
     items: Sequence[tuple[str, str]],
     concepts: Sequence[ConceptVector],
 ) -> np.ndarray:
-    """Embed ``(system_prompt, document)`` pairs as one block, then project.
+    """Embed ``(system_prompt, document)`` pairs, then project.
 
-    Row i is dotted with ``concepts[i]``, one dot per row, so each score
-    is bitwise equal to :func:`project_score` (see :func:`score_documents`).
+    Items are embedded in blocks of at most :data:`SCORE_CHUNK`, one
+    provider call each.  Row i is dotted with ``concepts[i]``, one dot per
+    row, so each score is bitwise equal to :func:`project_score` whatever
+    the chunking (see :func:`score_documents`).
     """
-    block = _embed_block(provider, items)
     scores = np.empty(len(items))
-    for i, (row, concept) in enumerate(zip(block, concepts)):
-        _require_dim(row.size, concept)
-        scores[i] = row @ concept.direction
+    for start in range(0, len(items), SCORE_CHUNK):
+        block = _embed_block(provider, items[start:start + SCORE_CHUNK])
+        for i, row in enumerate(block, start):
+            _require_dim(row.size, concepts[i])
+            scores[i] = row @ concepts[i].direction
     return scores

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .assess import AssessorModel, PitfallBank, PitfallReport, assess_document
+from .assess import (
+    AlignmentMismatch,
+    AssessorModel,
+    PitfallBank,
+    PitfallReport,
+    assess_document,
+    check_alignment,
+)
 from .corpus import CorpusEntry, GroundTruthRecord
 from .gateway import (
     DEFAULT_BATCH_SIZE,
@@ -44,7 +51,6 @@ from .rate import (
     LABEL_NOT_RUNS,
     RateInput,
     RateVerdict,
-    load_default_rate_prompts,
     rate_document,
 )
 from .sandbox import SandboxSpec
@@ -363,7 +369,8 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the enabled stages over the corpus, one report per paper.
 
-    Configuration problems abort before any stage runs; per-paper stage
+    Configuration problems (among them a bank and model that do not
+    match) abort with ConfigError before any stage runs; per-paper stage
     failures only mark that paper's report.
     """
     config.validate()
@@ -372,14 +379,19 @@ def run_pipeline(
     if chat_factory is None and config.prepare.enabled:
         chat_factory = build_chat_factory(config.chat)
 
-    concept = cutoff = neutral = bank = model = None
+    concept = cutoff = bank = model = None
     if config.rate.enabled:
         concept = load_artifact(ConceptVector, config.rate.concept_path)
         cutoff = load_artifact(Cutoff, config.rate.cutoff_path)
-        neutral = load_default_rate_prompts().neutral
     if config.assess.enabled:
         bank = load_artifact(PitfallBank, config.assess.bank_path)
         model = load_artifact(AssessorModel, config.assess.model_path)
+        try:
+            check_alignment(bank, model)
+        except AlignmentMismatch as exc:
+            raise ConfigError(
+                f"bank {config.assess.bank_path} and model {config.assess.model_path}: {exc}"
+            ) from exc
 
     if prepare_fn is None:
         def prepare_fn(bundle: ArtifactBundle, chat: ChatProvider) -> PrepareOutcome:
@@ -397,7 +409,6 @@ def run_pipeline(
                     concept,
                     cutoff,
                     embedding_provider,
-                    neutral_prompt=neutral,
                 )
             except Exception as exc:
                 errors.append(f"rate: {exc}")

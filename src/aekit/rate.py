@@ -7,6 +7,7 @@ runs / not-runs verdict using a recall-calibrated cutoff.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -108,8 +109,9 @@ class RateVerdict(LoadableArtifact):
         )
 
 
+@functools.cache
 def load_default_rate_prompts() -> PromptPair:
-    """The versioned prompt asset shipped with the package."""
+    """The versioned prompt asset shipped with the package, read once."""
     text = resources.files("aekit.assets").joinpath("rate_prompts.json").read_text("utf-8")
     return PromptPair.from_dict(json.loads(text))
 
@@ -153,24 +155,34 @@ def calibrate_cutoff(scores: Sequence[float], labels: Sequence[str]) -> Cutoff:
     )
 
 
-def rate_document(
-    input: RateInput,
+def rate_documents(
+    inputs: Sequence[RateInput],
     concept: ConceptVector,
     cutoff: Cutoff,
     provider,
-    neutral_prompt: str | None = None,
-) -> RateVerdict:
-    """Score one paper+readme document and apply the cutoff rule."""
-    if neutral_prompt is None:
-        neutral_prompt = load_default_rate_prompts().neutral
-    document = compose_rate_document(input)
-    score = float(score_documents(provider, neutral_prompt, [document], concept)[0])
-    label = LABEL_RUNS if score >= cutoff.threshold else LABEL_NOT_RUNS
-    return RateVerdict(
-        paper_id=input.paper_id,
-        score=score,
-        label=label,
-        cutoff_used=cutoff,
-        prompt_digest=concept.prompt_digest,
-        provider_id=concept.provider_id,
-    )
+) -> list[RateVerdict]:
+    """Score each paper+readme document and apply the cutoff rule, in input order.
+
+    Every document is scored under the shipped neutral prompt through one
+    :func:`score_documents` call, so each score is bitwise equal to the
+    paper's score when it is rated alone.
+    """
+    neutral = load_default_rate_prompts().neutral
+    documents = [compose_rate_document(i) for i in inputs]
+    scores = score_documents(provider, neutral, documents, concept).tolist()
+    return [
+        RateVerdict(
+            paper_id=input.paper_id,
+            score=score,
+            label=LABEL_RUNS if score >= cutoff.threshold else LABEL_NOT_RUNS,
+            cutoff_used=cutoff,
+            prompt_digest=concept.prompt_digest,
+            provider_id=concept.provider_id,
+        )
+        for input, score in zip(inputs, scores)
+    ]
+
+
+def rate_document(input: RateInput, concept: ConceptVector, cutoff: Cutoff, provider) -> RateVerdict:
+    """One paper's verdict: :func:`rate_documents` of one input."""
+    return rate_documents([input], concept, cutoff, provider)[0]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aekit.gateway import ChatMessage, mock_embed
+from aekit.gateway import ChatMessage, MockEmbeddingProvider, mock_embed
 
 
 class FixedEmbeddingProvider:
@@ -24,6 +24,18 @@ class FixedEmbeddingProvider:
         if document in self.table:
             return np.asarray(self.table[document], dtype=float)
         return self.default.copy()
+
+
+class CountingMockProvider(MockEmbeddingProvider):
+    """The mock provider, recording how many items each ``embed_many`` call embeds."""
+
+    def __init__(self, seed=0, dim=64):
+        super().__init__(seed, dim)
+        self.calls = []
+
+    def embed_many(self, items):
+        self.calls.append(len(items))
+        return super().embed_many(items)
 
 
 class VectorTransport:

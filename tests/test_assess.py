@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from aekit import measure
 from aekit.assess import (
     AlignmentMismatch,
     AssessorModel,
@@ -19,6 +22,7 @@ from aekit.assess import (
     STATUS_SKIPPED,
     STATUS_TRAINED,
     assess_document,
+    assess_documents,
     build_pitfall_bank,
     featurize,
     fit_logistic,
@@ -31,7 +35,7 @@ from aekit.assess import (
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import ConceptVector, ProbeSet, PromptPair, project_score
 
-from conftest import FixedEmbeddingProvider, VectorTransport, document_encodings
+from conftest import CountingMockProvider, FixedEmbeddingProvider, VectorTransport, document_encodings
 
 PROBES = ProbeSet(("probe one", "probe two", "probe three", "probe four"))
 
@@ -487,3 +491,74 @@ class TestSeparableCeiling:
         assert ms.f1 >= 0.92
         assert ms.f2 >= 0.97
         assert ms.accuracy >= 0.90
+
+
+PAPERS = [(f"p{i:03d}", f"paper {i} on topic {i % 7}") for i in range(72)]
+
+
+def noisy_annotations(features, seed):
+    """Labels that follow each pitfall's score with noise, so fits stay finite.
+
+    P3 has fewer than five present papers, so its classifier is skipped.
+    """
+    rng = np.random.default_rng(seed)
+    annotations = {}
+    for fv in features:
+        noisy = np.asarray(fv.scores) + rng.normal(scale=0.05, size=fv.m)
+        annotations[fv.paper_id] = {
+            "P1": "present" if noisy[0] > 0 else "absent",
+            "P2": "present" if noisy[1] > 0 else "absent",
+            "P3": "present" if fv.paper_id < "p003" else "absent",
+        }
+    return annotations
+
+
+class TestAssessDocuments:
+    @pytest.mark.parametrize("mode", ["univariate", MODE_FULL_VECTOR])
+    def test_equals_assessing_each_paper_alone_across_chunk_boundaries(self, monkeypatch, mode):
+        provider = MockEmbeddingProvider(seed=6, dim=16)
+        bank = build_pitfall_bank(make_specs(3), PROBES, provider)
+        features = [featurize(text, bank, provider, paper_id=pid) for pid, text in PAPERS]
+        model = train_assessor(features, noisy_annotations(features, 3), bank.pitfall_ids, mode=mode)
+        assert [c.status for c in model.classifiers] == [STATUS_TRAINED, STATUS_TRAINED, STATUS_SKIPPED]
+        # Chunks of 7 items split papers' 3 items across provider calls.
+        monkeypatch.setattr(measure, "SCORE_CHUNK", 7)
+        reports = assess_documents(PAPERS, bank, model, provider)
+        alone = [assess_document(text, bank, model, provider, paper_id=pid) for pid, text in PAPERS]
+        assert [r.to_json() for r in reports] == [r.to_json() for r in alone]
+        labels = {f.label for r in reports for f in r.findings}
+        assert labels == {LABEL_PRESENT, LABEL_ABSENT, LABEL_SKIPPED}
+        for report, fv in zip(reports, features):
+            assert tuple(f.score for f in report.findings) == fv.scores
+
+    def test_no_papers_give_no_reports(self):
+        bank = axis_bank(2, 4)
+        model = AssessorModel(
+            mode="univariate", classifiers=tuple(PitfallClassifier(p, STATUS_SKIPPED) for p in ("P1", "P2"))
+        )
+        assert assess_documents([], bank, model, FixedEmbeddingProvider(dim=4)) == []
+
+    @pytest.mark.parametrize("ids", [("P1",), ("P2", "P1")], ids=["count", "order"])
+    def test_mismatch_is_raised_before_anything_is_embedded(self, ids):
+        provider = CountingMockProvider(seed=1, dim=4)
+        model = AssessorModel(mode="univariate", classifiers=tuple(PitfallClassifier(p, STATUS_SKIPPED) for p in ids))
+        with pytest.raises(AlignmentMismatch):
+            assess_documents(PAPERS, axis_bank(2, 4), model, provider)
+        assert provider.calls == []
+
+    def test_remote_provider_sends_full_batches(self, monkeypatch):
+        monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+        bank = build_pitfall_bank(make_specs(10), PROBES, MockEmbeddingProvider(seed=2, dim=16))
+        model = AssessorModel(
+            mode="univariate", classifiers=tuple(PitfallClassifier(p, STATUS_SKIPPED) for p in bank.pitfall_ids)
+        )
+        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN", batch_size=32)
+        batched, alone = VectorTransport(dim=16), VectorTransport(dim=16)
+        reports = assess_documents(PAPERS, bank, model, RemoteEmbeddingProvider(cfg, batched))
+        one_by_one = [
+            assess_document(text, bank, model, RemoteEmbeddingProvider(cfg, alone), paper_id=pid)
+            for pid, text in PAPERS
+        ]
+        assert len(batched.requests) == math.ceil(len(PAPERS) * len(bank) / 32) == 23
+        assert len(alone.requests) == len(PAPERS)
+        assert [r.to_json() for r in reports] == [r.to_json() for r in one_by_one]

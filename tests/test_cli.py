@@ -1,11 +1,16 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
+from aekit import cli
 from aekit.cli import EXIT_CONFIG, EXIT_OK, main
+from aekit.gateway import ProviderConfig, RemoteEmbeddingProvider
 from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
+
+from conftest import VectorTransport
 
 
 DATA = Path(__file__).parent / "data"
@@ -486,3 +491,95 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: annotations {annotations}: no annotation for paper")
         assert not bank.exists() and not model.exists()
+
+
+def stage_argv(command, root, corpus, out):
+    """Arguments of a corpus command over ``root``'s trained artifacts, writing to ``out``."""
+    return {
+        "extract-concept": ["extract-concept", "--corpus", corpus, "--n-train", "3", "--out-file", out],
+        "calibrate": ["calibrate", "--corpus", corpus, "--concept", root / "concept.json",
+                      "--n-train", "3", "--out-file", out],
+        "rate": ["rate", "--corpus", corpus, "--concept", root / "concept.json",
+                 "--cutoff", root / "cutoff.json", "--out-file", out],
+        "assess": ["assess", "--corpus", corpus, "--bank", root / "bank.json",
+                   "--model", root / "model.json", "--out-file", out],
+        "pipeline": ["--out", out, "pipeline", "--corpus", corpus],
+    }[command]
+
+
+class TestStageCommands:
+    def test_a_missing_annotated_readme_exits_2_and_writes_nothing(self, trained, tmp_path, capsys):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_src, corpus)
+        (corpus / "p002" / "readme.txt").unlink()
+        out = tmp_path / "rate.jsonl"
+        assert run_cli("--config", config, *stage_argv("rate", root, corpus, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: readme_present is true") and "p002" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract-concept", "calibrate"])
+    def test_training_papers_without_readme_text_exit_2(self, trained, tmp_path, capsys, command):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_src, corpus)
+        for readme in corpus.glob("*/readme.txt"):
+            readme.write_text("")
+        out = tmp_path / "out.json"
+        assert run_cli("--config", config, *stage_argv(command, root, corpus, out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: readme_present is true")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["assess", "pipeline"])
+    def test_a_bank_and_model_that_do_not_match_exit_2(self, trained, tmp_path, capsys, command):
+        root, corpus, config = trained
+        model = json.loads((root / "model.json").read_text())
+        model["classifiers"].pop()
+        given = tmp_path / "model.json"
+        given.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        argv = stage_argv(command, root, corpus, out)
+        if command == "pipeline":
+            text = config.read_text().replace(str(root / "model.json"), str(given))
+            config = tmp_path / "pipeline.ini"
+            config.write_text(text)
+            flags = ("bank ", "model ")
+        else:
+            argv[argv.index("--model") + 1] = given
+            flags = ("--bank ", "--model ")
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "bank has 10 pitfalls, model has 9" in err
+        assert f"{flags[0]}{root / 'bank.json'}" in err and f"{flags[1]}{given}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract-concept", "rate", "assess", "pipeline"])
+    def test_skipped_corpus_entries_are_named_on_stderr(self, trained, tmp_path, capsys, command):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_src, corpus)
+        (corpus / "p007").mkdir()
+        outputs = []
+        for name, source in (("clean", corpus_src), ("skipped", corpus)):
+            out = tmp_path / name
+            assert run_cli("--config", config, *stage_argv(command, root, source, out)) == EXIT_OK
+            captured = capsys.readouterr()
+            files = [out] if out.is_file() else [out / "reports.jsonl", out / "summary.txt"]
+            outputs.append((captured.out.replace(str(out), "OUT"), captured.err,
+                            [f.read_bytes() for f in files]))
+        clean, skipped = outputs
+        assert clean[1] == "" and skipped[1] == "skipped p007: missing paper.txt\n"
+        assert skipped[0] == clean[0] and skipped[2] == clean[2]
+
+    @pytest.mark.parametrize("command, items", [("rate", 5), ("assess", 6 * 10)])
+    def test_remote_provider_sends_full_batches(self, trained, tmp_path, monkeypatch, command, items):
+        root, corpus, config = trained
+        monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+        transport = VectorTransport(dim=48)
+        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN", batch_size=32)
+        monkeypatch.setattr(cli, "build_embedding_provider", lambda settings: RemoteEmbeddingProvider(cfg, transport))
+        out = tmp_path / "out.jsonl"
+        assert run_cli("--config", config, *stage_argv(command, root, corpus, out)) == EXIT_OK
+        assert [len(r) for r in transport.requests] == [32] * (items // 32) + [items % 32]
+        assert len(transport.requests) == math.ceil(items / 32)

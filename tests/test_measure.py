@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
+from aekit import measure
+from aekit.gateway import DEFAULT_BATCH_SIZE, MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import (
     AllZeroDeltas,
     ConceptVector,
@@ -20,7 +21,7 @@ from aekit.measure import (
     score_documents,
 )
 
-from conftest import FixedEmbeddingProvider, VectorTransport, document_encodings
+from conftest import CountingMockProvider, FixedEmbeddingProvider, VectorTransport, document_encodings
 
 
 def oracle_leading_direction(deltas):
@@ -311,6 +312,23 @@ class TestScoreDocuments:
         concept = ConceptVector(np.array([1.0, 0.0]), "c", "prov", "digest", 3)
         with pytest.raises(DimensionMismatch):
             score_documents(MockEmbeddingProvider(seed=1, dim=3), "p", ["doc"], concept)
+
+    def test_chunks_fill_whole_remote_requests(self):
+        assert measure.SCORE_CHUNK % DEFAULT_BATCH_SIZE == 0
+
+    def test_embeds_at_most_score_chunk_items_per_call_with_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        direction = rng.normal(size=64)
+        concept = ConceptVector(direction / np.linalg.norm(direction), "c", "prov", "digest", 3)
+        docs = [f"document {i}" for i in range(20)]
+        whole = CountingMockProvider(seed=3, dim=64)
+        expected = score_documents(whole, "neutral", docs, concept)
+        monkeypatch.setattr(measure, "SCORE_CHUNK", 7)
+        chunked = CountingMockProvider(seed=3, dim=64)
+        got = score_documents(chunked, "neutral", docs, concept)
+        assert whole.calls == [20]
+        assert chunked.calls == [7, 7, 6]
+        assert got.tobytes() == expected.tobytes()
 
 
 def row_walking_block(rows):

@@ -2,6 +2,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import ProbeSet, PromptPair, extract_concept_vector
@@ -48,3 +49,28 @@ def test_mock_layer_sees_one_embed_many_span_per_extraction(monkeypatch):
     extract_concept_vector(probes, pair, provider)
     assert [s.name for s in store.spans] == ["gateway.mock.embed_many"]
     assert sum(s.attrs["items"] for s in store.spans) == 2 * probes.count
+
+
+@pytest.mark.parametrize(
+    "name, n_papers, n_train, dim", [("Score", 24, 8, 64), ("Train", 30, 20, 64)]
+)
+def test_small_workload_passes_the_benchmark_oracles(monkeypatch, tmp_path, name, n_papers, n_train, dim):
+    # The benchmark's own checks (eigh PCA, exhaustive cutoff, independent
+    # projections, byte-identical reruns) on a small corpus, so that a
+    # library change that breaks a workload fails here, not only in a
+    # benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+
+    class Small(getattr(workloads, name)):
+        N_PAPERS, N_TRAIN, DIM = n_papers, n_train, dim
+
+    token = workloads.dummy_token(5)
+    monkeypatch.setenv(workloads.TOKEN_ENV, token)
+    workload = Small(5, token)
+    workload.setup(tmp_path / "setup")
+    workload.prepare_checks()
+    for i in range(2):
+        out = tmp_path / f"op{i}"
+        out.mkdir()
+        assert workload.check(out, workload.op(out, None)) == (0, [])

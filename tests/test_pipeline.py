@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aekit.assess import AssessorModel, PitfallBank, PitfallBankEntry, PitfallClassifier, STATUS_SKIPPED
 from aekit.corpus import CorpusEntry, GroundTruthRecord
 from aekit.gateway import ChatMessage, ProviderConfig, ScriptedChatProvider
 from aekit.measure import ConceptVector
 from aekit.pipeline import (
+    AssessSettings,
     ConfigError,
     PipelineConfig,
     PIPELINE_NOT_RUNS,
@@ -25,7 +28,7 @@ from aekit.prepare import AgentTranscript, OUTCOME_SUCCESS, PrepareLimits, Prepa
 from aekit.rate import Cutoff
 from aekit.sandbox import SandboxSpec
 
-from conftest import done_message, run_message
+from conftest import CountingMockProvider, done_message, run_message
 
 
 class MarkerProvider:
@@ -173,6 +176,27 @@ class TestFaultIsolation:
         config = PipelineConfig(rate=RateSettings(enabled=True))
         with pytest.raises(ConfigError):
             run_pipeline(config, [entry("a", "M")])
+
+    def test_bank_and_model_that_do_not_match_abort_before_any_stage(self, tmp_path):
+        config, entries, _ = gate_fixture(tmp_path)
+        concept = ConceptVector(np.array([1.0, 0.0, 0.0, 0.0]), "pitfall", "marker-test", "dg", 3)
+        bank = PitfallBank((PitfallBankEntry("P1", "one", "neutral", concept),))
+        model = AssessorModel("univariate", (PitfallClassifier("P2", STATUS_SKIPPED),))
+        bank_path, model_path = tmp_path / "bank.json", tmp_path / "model.json"
+        bank_path.write_text(bank.to_json())
+        model_path.write_text(model.to_json())
+        config = replace(config, assess=AssessSettings(True, str(bank_path), str(model_path)))
+        provider = CountingMockProvider(dim=4)
+        invoked = []
+        with pytest.raises(ConfigError) as exc_info:
+            run_pipeline(
+                config, entries, embedding_provider=provider,
+                chat_factory=lambda pid: None, prepare_fn=recording_prepare_fn(invoked),
+            )
+        assert str(exc_info.value) == (
+            f"bank {bank_path} and model {model_path}: bank/model order mismatch: P1 vs P2"
+        )
+        assert invoked == [] and provider.calls == []
 
 
 class TestRealPrepareThroughPipeline:

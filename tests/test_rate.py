@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from aekit import measure
+from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import ConceptVector
 from aekit.rate import (
     Cutoff,
@@ -13,9 +17,10 @@ from aekit.rate import (
     compose_rate_document,
     load_default_rate_prompts,
     rate_document,
+    rate_documents,
 )
 
-from conftest import FixedEmbeddingProvider
+from conftest import FixedEmbeddingProvider, VectorTransport
 
 
 def oracle_best_cutoff(scores, labels):
@@ -192,6 +197,44 @@ class TestRateDocument:
         )
         text = verdict.to_json()
         assert RateVerdict.from_dict(__import__("json").loads(text)).to_json() == text
+
+
+def _random_concept(dim, seed):
+    direction = np.random.default_rng(seed).normal(size=dim)
+    return ConceptVector(direction / np.linalg.norm(direction), "reproducibility", "prov", "digest", 3)
+
+
+RATE_INPUTS = [RateInput(f"p{i:03d}", f"paper {i} " * (i % 5 + 1), f"readme {i}") for i in range(72)]
+
+
+class TestRateDocuments:
+    CUTOFF = Cutoff(threshold=0.0, train_recall=1.0, train_precision=0.5, n_train=4)
+
+    def test_equals_rating_each_paper_alone_across_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(measure, "SCORE_CHUNK", 7)
+        provider = MockEmbeddingProvider(seed=4, dim=64)
+        concept = _random_concept(64, 8)
+        verdicts = rate_documents(RATE_INPUTS, concept, self.CUTOFF, provider)
+        alone = [rate_document(i, concept, self.CUTOFF, provider) for i in RATE_INPUTS]
+        assert [v.to_json() for v in verdicts] == [v.to_json() for v in alone]
+        assert {v.label for v in verdicts} == {LABEL_RUNS, LABEL_NOT_RUNS}
+
+    def test_no_inputs_give_no_verdicts(self):
+        provider = MockEmbeddingProvider(seed=4, dim=8)
+        assert rate_documents([], _random_concept(8, 1), self.CUTOFF, provider) == []
+
+    def test_remote_provider_sends_full_batches(self, monkeypatch):
+        monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+        cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN", batch_size=32)
+        concept = _random_concept(16, 2)
+        batched, alone = VectorTransport(dim=16), VectorTransport(dim=16)
+        verdicts = rate_documents(RATE_INPUTS, concept, self.CUTOFF, RemoteEmbeddingProvider(cfg, batched))
+        one_by_one = [
+            rate_document(i, concept, self.CUTOFF, RemoteEmbeddingProvider(cfg, alone)) for i in RATE_INPUTS
+        ]
+        assert len(batched.requests) == math.ceil(len(RATE_INPUTS) / 32) == 3
+        assert len(alone.requests) == len(RATE_INPUTS)
+        assert [v.to_json() for v in verdicts] == [v.to_json() for v in one_by_one]
 
 
 class TestCutoffSerialization:
