@@ -29,6 +29,7 @@ from .assess import (
     train_assessor,
 )
 from .corpus import (
+    README_MISSING,
     STAGE_ASSESS,
     STAGE_RATE,
     _read_paper_dir,
@@ -36,6 +37,7 @@ from .corpus import (
     load_corpus,
     load_ground_truth,
     seeded_split,
+    wants_rating,
 )
 from .jsonio import checked_input, dumps_jsonl, json_object, load_artifact, read_text, write_text
 from .measure import MIN_PROBES, ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
@@ -89,9 +91,7 @@ def _rate_inputs(entries) -> list[RateInput]:
     """The entries' rate inputs; ConfigError naming any paper without readme text."""
     missing = [e.paper_id for e in entries if not e.readme_text]
     if missing:
-        raise ConfigError(
-            f"readme_present is true but readme.txt is missing or empty for: {', '.join(missing)}"
-        )
+        raise ConfigError(f"{README_MISSING} for: {', '.join(missing)}")
     return [RateInput(e.paper_id, e.paper_text, e.readme_text) for e in entries]
 
 
@@ -150,7 +150,7 @@ def _cmd_rate(args) -> int:
     provider = build_embedding_provider(config.embedding)
     concept = load_artifact(ConceptVector, args.concept)
     cutoff = load_artifact(Cutoff, args.cutoff)
-    entries = filter_for_stage(_load_corpus(args.corpus).entries, STAGE_RATE)
+    entries = [e for e in _load_corpus(args.corpus).entries if wants_rating(e)]
     inputs = _rate_inputs(sorted(entries, key=lambda e: e.paper_id))
     verdicts = rate_documents(inputs, concept, cutoff, provider)
     write_text(args.out_file, dumps_jsonl(v.to_dict() for v in verdicts))

@@ -37,6 +37,12 @@ _PITFALL_VALUES = ("present", "partial", "absent", "unclear")
 
 _RUNNABILITY_COLUMNS = ("code_available", "readme_present", "manually_runnable")
 
+# The error for a paper annotated with a readme that has no readme text.
+README_MISSING = "readme_present is true but readme.txt is missing or empty"
+
+# Bytes per os.read once a file has outgrown its os.fstat size.
+_READ_CHUNK = 1 << 16
+
 
 class MissingRoot(FileNotFoundError):
     pass
@@ -140,15 +146,25 @@ def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
 def _read_utf8(path: str) -> str | None:
     """The file's text, or None when there is no file at ``path``.
 
-    One ``open`` stands in for an ``is_file`` check: a missing file, a
-    broken symlink and a directory all read as absent.
+    One ``os.open`` stands in for an ``is_file`` check: a missing file and
+    a broken symlink fail to open, and a directory opens but fails to
+    read, so all three read as absent.  The file is read with ``os.read``
+    until EOF, the first read sized by ``os.fstat``, with no buffered file
+    object in between.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (FileNotFoundError, IsADirectoryError):
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
         return None
-    return data.decode("utf-8")
+    try:
+        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _READ_CHUNK))
+    except IsADirectoryError:
+        return None
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8")
 
 
 def _read_paper_dir(
@@ -169,7 +185,7 @@ def _read_paper_dir(
     except UnicodeDecodeError as exc:
         raise ValueError(f"malformed UTF-8: {exc}") from exc
     return CorpusEntry(
-        paper_id=Path(paper_dir).name,
+        paper_id=os.path.basename(paper_dir),
         paper_text=paper_text,
         readme_text=readme_text,
         source_ref=(source_ref or "").strip() or None,
@@ -209,6 +225,14 @@ def load_corpus(root: str | Path) -> LoadedCorpus:
         errors.append(f"{paper_id}: annotation has no matching paper directory")
 
     return LoadedCorpus(entries=tuple(entries), errors=tuple(errors))
+
+
+def wants_rating(entry: CorpusEntry) -> bool:
+    """Whether the rate stage takes the entry: it has readme text, or it is
+    annotated ``readme_present`` (and then lacks a readme, see
+    :data:`README_MISSING`).  Unannotated papers with a readme are rated."""
+    gt = entry.ground_truth
+    return bool(entry.readme_text) or (gt is not None and bool(gt.readme_present))
 
 
 def filter_for_stage(

@@ -34,6 +34,11 @@ UNIT_NORM_TOL = 1e-9
 # holds at most SCORE_CHUNK embeddings at once.  A multiple of
 # gateway.DEFAULT_BATCH_SIZE, so that every chunk fills whole requests.
 SCORE_CHUNK = 1024
+# Lanczos (see _top_eigenvector) checks its top Ritz pair every
+# LANCZOS_CHECK_EVERY steps and stops at a residual of LANCZOS_TOL_ULPS
+# ulps of the matrix's largest absolute column sum.
+LANCZOS_CHECK_EVERY = 8
+LANCZOS_TOL_ULPS = 4.0
 
 SIGN_CONVENTION_MEAN_POSITIVE = "mean-positive"
 
@@ -157,15 +162,62 @@ def compute_deltas(
     return np.abs(deltas, out=deltas)  # in place: one n x d temporary fewer
 
 
+def _top_eigenvector(sym: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of a symmetric PSD matrix's largest eigenvalue.
+
+    Lanczos with full reorthogonalization (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., ch. 10), so ``eigh`` runs only on the small
+    tridiagonal matrix.  The start vector is a seeded Gaussian, never the
+    ones vector, which every centered Gram matrix maps to 0.  Each new
+    basis vector is orthogonalized twice against all earlier ones: one
+    pass loses orthogonality and returns a mix of eigenvectors.  Every
+    :data:`LANCZOS_CHECK_EVERY` steps the loop stops once the top Ritz
+    pair's residual beta_j * |s_j| is within :data:`LANCZOS_TOL_ULPS` ulps
+    of the matrix's largest absolute column sum; it also stops when beta_j
+    falls below that tolerance (the Krylov space is invariant) and after k
+    steps (the Krylov space is the whole space, so the pair is exact).
+    """
+    k = sym.shape[0]
+    tol = LANCZOS_TOL_ULPS * np.finfo(np.float64).eps * float(np.abs(sym).sum(axis=0).max())
+    basis = np.empty((k, k))
+    alpha = np.empty(k)
+    beta = np.empty(k)
+    q = np.random.default_rng(0).standard_normal(k)
+    q /= np.linalg.norm(q)
+    for j in range(k):
+        basis[j] = q
+        w = sym @ q
+        alpha[j] = q @ w
+        krylov = basis[: j + 1]
+        for _ in range(2):
+            w -= krylov.T @ (krylov @ w)
+        beta[j] = np.linalg.norm(w)
+        steps = j + 1
+        invariant = beta[j] <= tol or steps == k
+        if invariant or steps % LANCZOS_CHECK_EVERY == 0:
+            off = beta[: steps - 1]
+            tridiagonal = np.diag(alpha[:steps]) + np.diag(off, 1) + np.diag(off, -1)
+            _, ritz = np.linalg.eigh(tridiagonal)
+            if invariant or beta[j] * abs(ritz[-1, -1]) <= tol:
+                break
+        q = w / beta[j]
+    vector = krylov.T @ ritz[:, -1]
+    return vector / np.linalg.norm(vector)
+
+
 def first_principal_component(deltas: np.ndarray) -> np.ndarray:
     """Unit leading principal component of a delta matrix, sign-fixed.
 
     Columns are mean-centered before forming the scatter matrix.  The
-    eigenvector is the last (largest-eigenvalue) column of ``np.linalg.eigh``
-    on the smaller of the d x d scatter and the n x n Gram matrix (mapped
-    back through the centered rows when n < d), so a small eigengap costs
-    no accuracy.  Its sign is flipped so that the mean projection of the
-    *uncentered* rows is nonnegative.
+    top eigenvector of the smaller of the d x d scatter and the n x n Gram
+    matrix (mapped back through the centered rows when n < d) comes from
+    Lanczos (:func:`_top_eigenvector`), and the tests check it against an
+    ``np.linalg.eigh`` oracle.  Lanczos stops on a residual, not on a step
+    cap, so a small eigengap costs steps, not accuracy.  Its sign is
+    flipped so that the mean projection of the *uncentered* rows is
+    nonnegative.  Directions trained with the former full ``eigh`` differ
+    from these in their last bits; like their dependence on the BLAS
+    thread count, that falls outside the byte-identity of reruns.
 
     Degenerate spread (centered matrix ~ 0) falls back to the normalized
     mean row; if that is also ~ 0 the deltas carry no signal and
@@ -187,16 +239,14 @@ def first_principal_component(deltas: np.ndarray) -> np.ndarray:
         return mean_row / norm
 
     if n < d:
-        _, vecs = np.linalg.eigh(centered @ centered.T)
-        direction = centered.T @ vecs[:, -1]
+        direction = centered.T @ _top_eigenvector(centered @ centered.T)
         direction /= np.linalg.norm(direction)
     else:
-        _, vecs = np.linalg.eigh(centered.T @ centered)
-        direction = vecs[:, -1]
+        direction = _top_eigenvector(centered.T @ centered)
 
     # Sign convention: uncentered rows are nonnegative, so a stable
     # orientation is the one their mean projects positively onto.
-    if float(x.mean(axis=0) @ direction) < 0.0:
+    if float(mean_row @ direction) < 0.0:
         direction = -direction
     return direction
 
@@ -286,8 +336,8 @@ def extract_concept_vector(
         + [(prompts.negative, p) for p in probes.probes],
     )
     deltas = compute_deltas(poles[:n], poles[n:])
-    # Free the 2n pole embeddings before the eigensolver allocates its
-    # workspace, so extraction peaks at the embeddings, not at both.
+    # Free the 2n pole embeddings before the PCA allocates its matrices,
+    # so extraction peaks at the embeddings, not at both.
     del poles
     direction = first_principal_component(deltas)
     return ConceptVector(

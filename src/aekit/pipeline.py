@@ -23,7 +23,7 @@ from .assess import (
     assess_document,
     check_alignment,
 )
-from .corpus import CorpusEntry, GroundTruthRecord
+from .corpus import README_MISSING, CorpusEntry, GroundTruthRecord, wants_rating
 from .gateway import (
     DEFAULT_BATCH_SIZE,
     ChatMessage,
@@ -412,6 +412,8 @@ def run_pipeline(
                 )
             except Exception as exc:
                 errors.append(f"rate: {exc}")
+        elif config.rate.enabled and wants_rating(entry):
+            errors.append(f"rate: {README_MISSING}")
 
         gated_out = (
             config.gate

@@ -519,6 +519,32 @@ class TestStageCommands:
         assert err.startswith("configuration error: readme_present is true") and "p002" in err
         assert not out.exists()
 
+    def test_pipeline_records_a_missing_annotated_readme_as_a_rate_error(self, trained, tmp_path):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_src, corpus)
+        (corpus / "p002" / "readme.txt").unlink()
+        out = tmp_path / "out"
+        assert run_cli("--config", config, *stage_argv("pipeline", root, corpus, out)) == EXIT_OK
+        reports = {r["paper_id"]: r for r in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
+        assert reports["p002"]["rate"] is None
+        assert reports["p002"]["errors"] == ["rate: readme_present is true but readme.txt is missing or empty"]
+        assert all(reports[p]["rate"] is not None for p in ("p001", "p003", "p004", "p006"))
+
+    def test_rate_rates_unannotated_papers_with_a_readme(self, trained, tmp_path, capsys):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_src, corpus)
+        (corpus / "ground_truth.csv").unlink()
+        outputs = []
+        for name, source in (("annotated", corpus_src), ("unannotated", corpus)):
+            out = tmp_path / f"{name}.jsonl"
+            assert run_cli("--config", config, *stage_argv("rate", root, source, out)) == EXIT_OK
+            assert capsys.readouterr().out.startswith("rated 5 papers")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[1].splitlines()) == 5
+
     @pytest.mark.parametrize("command", ["extract-concept", "calibrate"])
     def test_training_papers_without_readme_text_exit_2(self, trained, tmp_path, capsys, command):
         root, corpus_src, config = trained

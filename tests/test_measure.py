@@ -143,6 +143,77 @@ class TestFirstPrincipalComponent:
             assert np.sum((centered @ u) ** 2) <= var + 1e-9
 
 
+def centered_gram(n, d, seed):
+    rows = np.abs(np.random.default_rng(seed).normal(size=(n, d)))
+    centered = rows - rows.mean(axis=0)
+    return centered @ centered.T
+
+
+def train_sized_deltas():
+    """Mock deltas of 300 probes at dim 1024, the shape of one train-stage PCA."""
+    probes = [f"probe {i}: " + "setup and run notes " * (i % 7 + 1) for i in range(300)]
+    provider = MockEmbeddingProvider(seed=3, dim=1024)
+    poles = provider.embed_many([(PAIR.positive, p) for p in probes] + [(PAIR.negative, p) for p in probes])
+    return compute_deltas(poles[:300], poles[300:])
+
+
+def assert_matches_eigh(sym, vector, tol=1e-12):
+    _, vecs = np.linalg.eigh(sym)
+    assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
+    assert 1.0 - abs(vector @ vecs[:, -1]) < tol
+
+
+class TestTopEigenvector:
+    """Lanczos's top eigenvector against ``np.linalg.eigh`` as the oracle."""
+
+    @pytest.mark.parametrize("n", [3, 12, 300])
+    def test_centered_gram_matrix_with_ones_in_its_null_space(self, n):
+        gram = centered_gram(n, 2 * n, seed=n)
+        assert np.abs(gram @ np.ones(n)).max() < 1e-9 * np.abs(gram).max()
+        assert_matches_eigh(gram, measure._top_eigenvector(gram))
+
+    def test_rank_one_matrix_stops_once_its_krylov_space_is_invariant(self, monkeypatch):
+        v = np.random.default_rng(7).normal(size=50)
+        sym = 3.0 * np.outer(v, v)
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        vector = measure._top_eigenvector(sym)
+        monkeypatch.undo()
+        assert sizes == [2]
+        assert_matches_eigh(sym, vector)
+
+    def test_repeated_top_eigenvalue_gives_an_exact_eigenpair(self):
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(40, 40)))
+        values = np.concatenate([[3.0, 3.0], np.linspace(2.0, 0.0, 38)])
+        sym = (q * values) @ q.T
+        vector = measure._top_eigenvector(sym)
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
+        assert vector @ sym @ vector == pytest.approx(3.0, rel=1e-12)
+        assert np.linalg.norm(sym @ vector - 3.0 * vector) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scatter_branch_at_small_d(self, d):
+        rows = np.abs(np.random.default_rng(d).normal(size=(6, d)))
+        centered = rows - rows.mean(axis=0)
+        scatter = centered.T @ centered
+        assert_matches_eigh(scatter, measure._top_eigenvector(scatter))
+        direction = first_principal_component(rows)
+        assert 1.0 - abs(direction @ oracle_leading_direction(rows)) < 1e-12
+
+    def test_train_sized_mock_deltas(self):
+        deltas = train_sized_deltas()
+        centered = deltas - deltas.mean(axis=0)
+        gram = centered @ centered.T
+        assert_matches_eigh(gram, measure._top_eigenvector(gram))
+        direction = first_principal_component(deltas)
+        assert 1.0 - abs(direction @ oracle_leading_direction(deltas)) < 1e-12
+
+    def test_repeated_call_is_bitwise_equal(self):
+        gram = centered_gram(60, 90, seed=1)
+        assert np.array_equal(measure._top_eigenvector(gram), measure._top_eigenvector(gram))
+
+
 class TestExtractConceptVector:
     def test_single_axis_difference_gives_basis_direction(self):
         # Poles differ only in coordinate 0 for every probe.
