@@ -4,11 +4,13 @@ Subcommands: extract-concept, calibrate, rate, prepare, assess-train,
 assess, pipeline, evaluate.  Provider settings come from the --config
 file (see load_pipeline_config); --seed overrides the configured seed.
 Exit codes: 0 on batch completion, 2 on configuration errors, including a
-malformed input file (the message names it), an --n-train out of range,
-a calibration split that lacks one label class, an --annotations file
-that lacks a training paper, a --bank and --model that do not match and
-a paper annotated with a readme that has no readme.txt.  A corpus
-directory that cannot be loaded is skipped and named on stderr.
+malformed input file (the message names it; an unknown section or key in
+the --config INI and an unknown label in --predictions count), an
+--n-train out of range, a calibration split that lacks one label class,
+an --annotations file that lacks a training paper, a --bank and --model
+that do not match and a paper annotated with a readme that has no
+readme.txt.  A corpus directory that cannot be loaded is skipped and
+named on stderr.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ from .corpus import (
     seeded_split,
     wants_rating,
 )
-from .jsonio import checked_input, dumps_jsonl, json_object, load_artifact, read_text, write_text
+from .jsonio import checked_input, dumps_jsonl, json_object, load_artifact, write_text
 from .measure import MIN_PROBES, ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
 from .metrics import count_confusion, metric_set, render_confusion_table
 from .pipeline import (
+    PIPELINE_NOT_RUNS,
+    PIPELINE_RUNS,
+    PIPELINE_SKIPPED,
     ConfigError,
     PipelineConfig,
     build_chat_factory,
@@ -51,7 +56,7 @@ from .pipeline import (
     render_report,
     run_pipeline,
 )
-from .prepare import ArtifactBundle, PrepareLimits, run_prepare_loop
+from .prepare import ArtifactBundle, run_prepare_loop
 from .rate import (
     Cutoff,
     DegenerateLabels,
@@ -63,8 +68,14 @@ from .rate import (
     load_default_rate_prompts,
     rate_documents,
 )
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
+# The labels `evaluate` accepts in each --field; the first is the positive one.
+_EVALUATED_LABELS = {
+    "pipeline": (PIPELINE_RUNS, PIPELINE_NOT_RUNS, PIPELINE_SKIPPED),
+    "rate": (LABEL_RUNS, LABEL_NOT_RUNS),
+}
 
 
 def _load_config(args) -> PipelineConfig:
@@ -170,17 +181,8 @@ def _cmd_prepare(args) -> int:
     spec = config.prepare.sandbox
     if args.backend is not None:
         spec = dataclasses.replace(spec, backend=args.backend)
-    limits = config.prepare.limits
-    if args.limits:
-        with checked_input(f"limits {args.limits}"):
-            doc = json_object(read_text(args.limits))
-            limits = PrepareLimits(
-                max_iterations=int(doc.get("max_iterations", limits.max_iterations)),
-                command_timeout=float(doc.get("timeout", limits.command_timeout)),
-                output_cap=int(doc.get("output_cap", limits.output_cap)),
-            )
     chat = build_chat_factory(config.chat)(bundle.paper_id)
-    outcome = run_prepare_loop(bundle, spec, chat, limits)
+    outcome = run_prepare_loop(bundle, spec, chat, config.prepare.limits)
     write_text(args.out_file, outcome.to_json())
     print(f"prepare outcome: {outcome.status} ({len(outcome.transcript.steps)} steps) -> {args.out_file}")
     return EXIT_OK
@@ -262,6 +264,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ground_truth = load_ground_truth(Path(args.ground_truth))
+    labels = _EVALUATED_LABELS[args.field]
     pairs = []
     seen: set[str] = set()
     with checked_input(f"predictions {args.predictions}"), open(args.predictions, encoding="utf-8") as fh:
@@ -276,9 +279,6 @@ def _cmd_evaluate(args) -> int:
             if paper_id in seen:
                 raise ValueError(f"predictions name paper {paper_id!r} more than once")
             seen.add(paper_id)
-            record = ground_truth.get(paper_id)
-            if record is None or record.manually_runnable is None:
-                continue
             if args.field == "rate":
                 rate = doc.get("rate") or {}
                 if not isinstance(rate, dict):
@@ -286,8 +286,11 @@ def _cmd_evaluate(args) -> int:
                 label = doc.get("label", rate.get("label"))
             else:
                 label = doc.get("pipeline_label")
-            if label is not None:
-                pairs.append((label == "runs", record.manually_runnable))
+            if label is not None and label not in labels:
+                raise ValueError(f"line {number} has label {label!r}")
+            record = ground_truth.get(paper_id)
+            if label is not None and record is not None and record.manually_runnable is not None:
+                pairs.append((label == labels[0], record.manually_runnable))
     cm = count_confusion(pairs)
     if cm.total == 0:
         raise ConfigError("no prediction lines matched annotated papers")
@@ -334,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True, help="directory with paper.txt and source.ref")
     p.add_argument("--backend", choices=["container", "local"], default=None,
                    help="sandbox backend (default: [prepare] backend from --config, else local)")
-    p.add_argument("--limits", default=None, help="JSON with max_iterations/timeout/output_cap")
     p.add_argument("--out-file", required=True)
     p.set_defaults(func=_cmd_prepare)
 

@@ -104,6 +104,8 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if not self.endpoint_url.startswith(("http://", "https://")):
             raise ValueError(f"endpoint_url must be an http(s) URL, got {self.endpoint_url!r}")
+        if not self.model_name:
+            raise ValueError("model_name must not be empty")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if not 0 <= self.max_retries <= 5:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,7 +25,6 @@ from .assess import (
 )
 from .corpus import README_MISSING, CorpusEntry, GroundTruthRecord, wants_rating
 from .gateway import (
-    DEFAULT_BATCH_SIZE,
     ChatMessage,
     ChatProvider,
     EmbeddingProvider,
@@ -67,12 +66,26 @@ class EmbeddingSettings:
     dim: int = 64
     remote: ProviderConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("mock", "remote"):
+            raise ConfigError(f"unknown embedding kind: {self.kind!r}")
+        if self.kind == "mock" and self.dim < 1:
+            raise ConfigError("mock embedding dim must be >= 1")
+        if self.kind == "remote" and self.remote is None:
+            raise ConfigError("remote embedding needs provider settings")
+
 
 @dataclass(frozen=True)
 class ChatSettings:
     kind: str = "scripted"
     script_path: str | None = None
     remote: ProviderConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("scripted", "remote"):
+            raise ConfigError(f"unknown chat kind: {self.kind!r}")
+        if self.kind == "remote" and self.remote is None:
+            raise ConfigError("remote chat needs provider settings")
 
 
 @dataclass(frozen=True)
@@ -81,12 +94,20 @@ class RateSettings:
     concept_path: str | None = None
     cutoff_path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.enabled and not (self.concept_path and self.cutoff_path):
+            raise ConfigError("rate stage enabled but concept/cutoff paths missing")
+
 
 @dataclass(frozen=True)
 class AssessSettings:
     enabled: bool = False
     bank_path: str | None = None
     model_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.enabled and not (self.bank_path and self.model_path):
+            raise ConfigError("assess stage enabled but bank/model paths missing")
 
 
 @dataclass(frozen=True)
@@ -108,127 +129,93 @@ class PipelineConfig:
     out_dir: str = "out"
     workers: int = 1
 
-    def validate(self) -> None:
-        if self.rate.enabled and not (self.rate.concept_path and self.rate.cutoff_path):
-            raise ConfigError("rate stage enabled but concept/cutoff paths missing")
-        if self.assess.enabled and not (self.assess.bank_path and self.assess.model_path):
-            raise ConfigError("assess stage enabled but bank/model paths missing")
+    def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.embedding.kind == "mock" and self.embedding.dim < 1:
-            raise ConfigError("mock embedding dim must be >= 1")
 
 
-def _provider_config(section: configparser.SectionProxy) -> ProviderConfig:
-    return ProviderConfig(
-        endpoint_url=section.get("endpoint_url", ""),
-        model_name=section.get("model_name", ""),
-        auth_token_env=section.get("auth_token_env", "AEKIT_API_TOKEN"),
-        timeout=section.getfloat("timeout", 60.0),
-        max_retries=section.getint("max_retries", 3),
-        embedding_dim=section.getint("embedding_dim", fallback=None),
-        pooling=section.get("pooling", "mean"),
-        cache_dir=section.get("cache_dir", fallback=None),
-    )
+_cp = configparser.ConfigParser
+_STR, _INT, _FLOAT, _BOOL = _cp.get, _cp.getint, _cp.getfloat, _cp.getboolean
+_PROVIDER_KEYS = {
+    "endpoint_url": _STR, "model_name": _STR, "auth_token_env": _STR, "timeout": _FLOAT,
+    "max_retries": _INT, "embedding_dim": _INT, "pooling": _STR, "cache_dir": _STR,
+}
+_SANDBOX_KEYS = {"backend": _STR, "base_image": _STR, "network": _STR, "gpu": _BOOL, "workdir": _STR}
+_LIMITS_KEYS = {"max_iterations": _INT, "command_timeout": _FLOAT, "output_cap": _INT}
+# INI keys whose field is named otherwise.
+_FIELDS = {
+    "script": "script_path", "concept": "concept_path", "cutoff": "cutoff_path",
+    "bank": "bank_path", "model": "model_path", "out": "out_dir",
+}
+
+
+def _remote(cls):
+    return lambda **values: cls(kind="remote", remote=ProviderConfig(**values))
+
+
+def _prepare(**values) -> PrepareSettings:
+    sandbox = {k: values.pop(k) for k in _SANDBOX_KEYS if k in values}
+    limits = {k: values.pop(k) for k in _LIMITS_KEYS if k in values}
+    return PrepareSettings(**values, sandbox=SandboxSpec(**sandbox), limits=PrepareLimits(**limits))
+
+
+# Per section and kind: what builds its settings from its values, and its
+# key table, which maps each key the section takes to its typed getter.
+_SECTIONS = {
+    ("embedding", "mock"): (EmbeddingSettings, {"seed": _INT, "dim": _INT}),
+    ("embedding", "remote"): (_remote(EmbeddingSettings), {**_PROVIDER_KEYS, "batch_size": _INT}),
+    ("chat", "scripted"): (ChatSettings, {"script": _STR}),
+    ("chat", "remote"): (_remote(ChatSettings), _PROVIDER_KEYS),
+    ("rate", None): (RateSettings, {"enabled": _BOOL, "concept": _STR, "cutoff": _STR}),
+    ("assess", None): (AssessSettings, {"enabled": _BOOL, "bank": _STR, "model": _STR}),
+    ("prepare", None): (_prepare, {"enabled": _BOOL, **_SANDBOX_KEYS, **_LIMITS_KEYS}),
+    ("pipeline", None): (dict, {"gate": _BOOL, "seed": _INT, "out": _STR, "workers": _INT}),
+}
+# The kind of a section with kinds that names none.
+_DEFAULT_KIND = {"embedding": EmbeddingSettings.kind, "chat": ChatSettings.kind}
+
+
+def _read_section(parser: configparser.ConfigParser, name: str):
+    """What section ``name`` builds from the keys its kind's table takes."""
+    kinded = name in _DEFAULT_KIND
+    kind = parser.get(name, "kind", fallback=_DEFAULT_KIND[name]) if kinded else None
+    if (name, kind) not in _SECTIONS:
+        raise ConfigError(f"unknown kind {kind!r}" if kinded else "unknown section")
+    build, keys = _SECTIONS[name, kind]
+    values = {}
+    for key in parser[name]:
+        if key in keys:
+            try:
+                values[_FIELDS.get(key, key)] = keys[key](parser, name, key)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        elif key not in parser.defaults() and not (kinded and key == "kind"):
+            raise ConfigError(f"unknown key {key!r}" + (f" for kind = {kind}" if kinded else ""))
+    return build(**values)
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    """Parse the flat key-value config file (one section per stage)."""
+    """The settings in the INI file at ``path``, one section per stage.
+
+    A section's ``kind`` picks the keys it takes; an absent section or key
+    keeps its dataclass's default, and a ``[DEFAULT]`` key applies to every
+    section that takes it.  A file that is missing or not a well-formed
+    UTF-8 INI, an unknown section or key and a value that does not parse
+    or check raise ConfigError naming the file and section.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    where = f"config {path}"
     try:
-        embedding = EmbeddingSettings()
-        if parser.has_section("embedding"):
-            sec = parser["embedding"]
-            kind = sec.get("kind", "mock")
-            if kind == "mock":
-                embedding = EmbeddingSettings(
-                    kind="mock", seed=sec.getint("seed", 0), dim=sec.getint("dim", 64)
-                )
-            elif kind == "remote":
-                remote = replace(
-                    _provider_config(sec),
-                    batch_size=sec.getint("batch_size", DEFAULT_BATCH_SIZE),
-                )
-                embedding = EmbeddingSettings(kind="remote", remote=remote)
-            else:
-                raise ConfigError(f"unknown embedding kind: {kind!r}")
-
-        chat = ChatSettings()
-        if parser.has_section("chat"):
-            sec = parser["chat"]
-            kind = sec.get("kind", "scripted")
-            if kind == "scripted":
-                chat = ChatSettings(kind="scripted", script_path=sec.get("script", fallback=None))
-            elif kind == "remote":
-                chat = ChatSettings(kind="remote", remote=_provider_config(sec))
-            else:
-                raise ConfigError(f"unknown chat kind: {kind!r}")
-
-        rate = RateSettings()
-        if parser.has_section("rate"):
-            sec = parser["rate"]
-            rate = RateSettings(
-                enabled=sec.getboolean("enabled", False),
-                concept_path=sec.get("concept", fallback=None),
-                cutoff_path=sec.get("cutoff", fallback=None),
-            )
-
-        assess = AssessSettings()
-        if parser.has_section("assess"):
-            sec = parser["assess"]
-            assess = AssessSettings(
-                enabled=sec.getboolean("enabled", False),
-                bank_path=sec.get("bank", fallback=None),
-                model_path=sec.get("model", fallback=None),
-            )
-
-        prepare = PrepareSettings()
-        if parser.has_section("prepare"):
-            sec = parser["prepare"]
-            prepare = PrepareSettings(
-                enabled=sec.getboolean("enabled", False),
-                sandbox=SandboxSpec(
-                    backend=sec.get("backend", SandboxSpec().backend),
-                    base_image=sec.get("base_image", SandboxSpec().base_image),
-                    network=sec.get("network", "allowed"),
-                    gpu=sec.getboolean("gpu", False),
-                    workdir=sec.get("workdir", fallback=None),
-                ),
-                limits=PrepareLimits(
-                    max_iterations=sec.getint("max_iterations", 40),
-                    command_timeout=sec.getfloat("command_timeout", 600.0),
-                    output_cap=sec.getint("output_cap", 8192),
-                ),
-            )
-
-        gate, seed, out_dir, workers = True, 0, "out", 1
-        if parser.has_section("pipeline"):
-            sec = parser["pipeline"]
-            gate = sec.getboolean("gate", True)
-            seed = sec.getint("seed", 0)
-            out_dir = sec.get("out", "out")
-            workers = sec.getint("workers", 1)
-    except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from exc
-
-    config = PipelineConfig(
-        embedding=embedding,
-        chat=chat,
-        rate=rate,
-        assess=assess,
-        prepare=prepare,
-        gate=gate,
-        seed=seed,
-        out_dir=out_dir,
-        workers=workers,
-    )
-    config.validate()
-    return config
+        parser.read_string(read_text(path), source=str(path))
+        settings = {}
+        for name in parser.sections():
+            where = f"config {path} [{name}]"
+            settings[name] = _read_section(parser, name)
+        where = f"config {path} [pipeline]"
+        pipeline = settings.pop("pipeline", {})
+        return PipelineConfig(**settings, **pipeline)
+    except (OSError, configparser.Error, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_embedding_provider(settings: EmbeddingSettings) -> EmbeddingProvider:
@@ -373,7 +360,6 @@ def run_pipeline(
     match) abort with ConfigError before any stage runs; per-paper stage
     failures only mark that paper's report.
     """
-    config.validate()
     if embedding_provider is None and (config.rate.enabled or config.assess.enabled):
         embedding_provider = build_embedding_provider(config.embedding)
     if chat_factory is None and config.prepare.enabled:

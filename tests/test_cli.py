@@ -218,13 +218,11 @@ class TestPrepareCommand:
 
     def test_limits_file_overrides(self, workspace):
         tmp_path, corpus, config = workspace
-        limits = tmp_path / "limits.json"
-        limits.write_text(json.dumps({"max_iterations": 0}))
+        config.write_text(config.read_text().replace("max_iterations = 8\n", "max_iterations = 0\n"))
         out_file = tmp_path / "prepare-p001.json"
         assert run_cli(
             "--config", config, "prepare",
-            "--bundle", corpus / "p001", "--backend", "local",
-            "--limits", limits, "--out-file", out_file,
+            "--bundle", corpus / "p001", "--backend", "local", "--out-file", out_file,
         ) == EXIT_OK
         assert json.loads(out_file.read_text())["status"] == "budget_exhausted"
 
@@ -259,6 +257,73 @@ class TestConfigErrors:
         assert run_cli(
             "--config", config, "pipeline", "--corpus", mock_corpus_path
         ) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"kind = mock\n",
+            b"[embedding]\nkind = mock\n\n[embedding]\ndim = 8\n",
+            b"[embedding]\nkind = mock\nkind = remote\n",
+            b"[embedding]\nkind = mock\xff\n",
+        ],
+        ids=["no-section-header", "duplicate-section", "duplicate-key", "non-utf8"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, mock_corpus_path, capsys, content):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        assert run_cli(
+            "--config", config, "--out", out, "pipeline", "--corpus", mock_corpus_path
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: config {config}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, section, message",
+        [
+            ("[rating]\nenabled = true\n", "rating", "unknown section"),
+            ("[embedding]\ndims = 8\n", "embedding", "unknown key 'dims' for kind = mock"),
+            ("[chat]\nscripts = s.json\n", "chat", "unknown key 'scripts' for kind = scripted"),
+            ("[rate]\nconcept_path = c.json\n", "rate", "unknown key 'concept_path'"),
+            ("[assess]\nenable = true\n", "assess", "unknown key 'enable'"),
+            ("[prepare]\nmax_iteration = 5\n", "prepare", "unknown key 'max_iteration'"),
+            ("[pipeline]\noutput = out\n", "pipeline", "unknown key 'output'"),
+            ("[rate]\nkind = remote\n", "rate", "unknown key 'kind'"),
+            ("[embedding]\nkind = mock\nendpoint_url = http://x\n", "embedding",
+             "unknown key 'endpoint_url' for kind = mock"),
+            ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nbatch_size = 4\n", "chat",
+             "unknown key 'batch_size' for kind = remote"),
+            ("[embedding]\nkind = quantum\n", "embedding", "unknown kind 'quantum'"),
+        ],
+        ids=["section", "embedding", "chat", "rate", "assess", "prepare", "pipeline", "kind-in-rate",
+             "embedding-mock-endpoint", "chat-remote-batch-size", "embedding-kind"],
+    )
+    def test_unknown_config_section_or_key_exits_2(
+        self, tmp_path, mock_corpus_path, capsys, content, section, message
+    ):
+        config = tmp_path / "bad.ini"
+        config.write_text(content)
+        out = tmp_path / "out"
+        assert run_cli(
+            "--config", config, "--out", out, "pipeline", "--corpus", mock_corpus_path
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: config {config} [{section}]: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model_line, message",
+        [("", "missing 1 required positional argument: 'model_name'"),
+         ("model_name =\n", "model_name must not be empty")],
+        ids=["missing", "empty"],
+    )
+    def test_remote_embedding_without_model_name_exits_2(
+        self, tmp_path, mock_corpus_path, capsys, model_line, message
+    ):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[embedding]\nkind = remote\nendpoint_url = http://x\n{model_line}")
+        assert run_cli("--config", config, "pipeline", "--corpus", mock_corpus_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config {config} [embedding]: ") and message in err
 
     def test_calibration_split_without_both_labels_exits_2(self, workspace, capsys):
         tmp_path, corpus, config = workspace
@@ -303,34 +368,32 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, content, message",
         [
-            ("prepare", "{bad", "is not valid JSON"),
-            ("prepare", "[1, 2]", "is not a JSON object"),
-            ("prepare", '{"max_iterations": -1}', "max_iterations must be nonnegative"),
-            ("prepare", '{"timeout": "soon"}', "could not convert string to float"),
             ("evaluate", '{"paper_id": "p001", "pipeline_label": "runs"}\nnot json\n', "line 2 is not valid JSON"),
             ("evaluate", "[]\n", "line 1 is not a JSON object"),
             ("evaluate", '{"pipeline_label": "runs"}\n', "line 1 has no paper_id"),
             ("evaluate-rate", '{"paper_id": "p001", "rate": "runs"}\n',
              "line 1 has a rate that is not a JSON object"),
-            ("prepare", b"\xff{}", "can't decode byte 0xff"),
             ("evaluate", b"\xff\n", "can't decode byte 0xff"),
+            ("evaluate", '{"paper_id": "p001", "pipeline_label": "runz"}\n', "line 1 has label 'runz'"),
+            ("evaluate", '{"paper_id": "p001", "pipeline_label": 7}\n', "line 1 has label 7"),
+            ("evaluate", '{"paper_id": "p001", "pipeline_label": "runs"}\n'
+                         '{"paper_id": "unannotated", "pipeline_label": "runz"}\n', "line 2 has label 'runz'"),
+            ("evaluate-rate", '{"paper_id": "p001", "label": "skipped"}\n', "line 1 has label 'skipped'"),
+            ("evaluate-rate", '{"paper_id": "p001", "rate": {"label": "Runs"}}\n',
+             "line 1 has label 'Runs'"),
         ],
-        ids=["limits-json", "limits-array", "limits-negative", "limits-type",
-             "predictions-json", "predictions-array", "predictions-no-id", "predictions-rate-string",
-             "limits-utf8", "predictions-utf8"],
+        ids=["predictions-json", "predictions-array", "predictions-no-id", "predictions-rate-string",
+             "predictions-utf8", "pipeline-label-unknown", "pipeline-label-number",
+             "pipeline-label-unannotated-paper", "rate-label-skipped", "rate-label-case"],
     )
     def test_malformed_json_input_exits_2(self, workspace, capsys, command, content, message):
         tmp_path, corpus, config = workspace
         given = tmp_path / "input.json"
         given.write_bytes(content if isinstance(content, bytes) else content.encode())
-        if command == "prepare":
-            argv = ["--config", config, "prepare", "--bundle", corpus / "p001", "--backend", "local",
-                    "--limits", given, "--out-file", tmp_path / "x.json"]
-        else:
-            argv = ["evaluate", "--predictions", given, "--ground-truth", corpus / "ground_truth.csv",
-                    "--out-file", tmp_path / "x.json"]
-            if command == "evaluate-rate":
-                argv += ["--field", "rate"]
+        argv = ["evaluate", "--predictions", given, "--ground-truth", corpus / "ground_truth.csv",
+                "--out-file", tmp_path / "x.json"]
+        if command == "evaluate-rate":
+            argv += ["--field", "rate"]
         assert run_cli(*argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err

@@ -504,11 +504,12 @@ class TestProviderConfig:
         with pytest.raises(ValueError):
             make_cfg(batch_size=0)
         ini = tmp_path / "aekit.ini"
-        ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nbatch_size = 0\n")
+        ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nbatch_size = 0\n")
         with pytest.raises(ConfigError):
             load_pipeline_config(ini)
-        ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nbatch_size = 8\n")
+        ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nbatch_size = 8\n")
         assert load_pipeline_config(ini).embedding.remote.batch_size == 8
         # Only embeddings are batched; the chat section has no such setting.
         ini.write_text("[chat]\nkind = remote\nendpoint_url = http://x\nbatch_size = 0\n")
-        assert load_pipeline_config(ini).chat.remote.batch_size == DEFAULT_BATCH_SIZE
+        with pytest.raises(ConfigError):
+            load_pipeline_config(ini)

@@ -10,7 +10,9 @@ from aekit.gateway import ChatMessage, ProviderConfig, ScriptedChatProvider
 from aekit.measure import ConceptVector
 from aekit.pipeline import (
     AssessSettings,
+    ChatSettings,
     ConfigError,
+    EmbeddingSettings,
     PipelineConfig,
     PIPELINE_NOT_RUNS,
     PIPELINE_RUNS,
@@ -173,9 +175,8 @@ class TestFaultIsolation:
         assert by_id["hi2"].pipeline_label == PIPELINE_RUNS
 
     def test_invalid_config_aborts_before_any_stage(self, tmp_path):
-        config = PipelineConfig(rate=RateSettings(enabled=True))
         with pytest.raises(ConfigError):
-            run_pipeline(config, [entry("a", "M")])
+            run_pipeline(PipelineConfig(rate=RateSettings(enabled=True)), [entry("a", "M")])
 
     def test_bank_and_model_that_do_not_match_abort_before_any_stage(self, tmp_path):
         config, entries, _ = gate_fixture(tmp_path)
@@ -335,6 +336,35 @@ class TestConfigFile:
         assert config.gate is False
         assert config.seed == 9
         assert config.workers == 2
+
+    def test_empty_sections_load_the_defaults(self, tmp_path):
+        path = tmp_path / "pipe.ini"
+        path.write_text("".join(
+            f"[{name}]\n" for name in ("embedding", "chat", "rate", "assess", "prepare", "pipeline")
+        ))
+        assert load_pipeline_config(path) == PipelineConfig()
+
+    def test_default_keys_apply_to_every_section_that_takes_them(self, tmp_path):
+        path = tmp_path / "pipe.ini"
+        path.write_text(
+            "[DEFAULT]\nseed = 5\nroot = /data\n\n[embedding]\ndim = 16\n\n"
+            "[rate]\nenabled = true\nconcept = %(root)s/c.json\ncutoff = %(root)s/k.json\n\n"
+            "[pipeline]\nout = %(root)s/out\n"
+        )
+        config = load_pipeline_config(path)
+        assert config.embedding.seed == 5 and config.seed == 5
+        assert config.rate == RateSettings(True, "/data/c.json", "/data/k.json")
+        assert config.out_dir == "/data/out"
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: EmbeddingSettings(kind="quantum"), lambda: EmbeddingSettings(kind="remote"),
+         lambda: ChatSettings(kind="quantum"), lambda: ChatSettings(kind="remote")],
+        ids=["embedding-kind", "embedding-remote-unset", "chat-kind", "chat-remote-unset"],
+    )
+    def test_provider_settings_check_their_kind(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
