@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonio import LoadableArtifact, checked_input, json_object, read_text, versioned
+from .jsonio import Artifact, checked_input, json_object, read_text
 from .measure import (
     ConceptVector,
     ProbeSet,
@@ -115,8 +115,10 @@ class PitfallBankEntry:
 
 
 @dataclass(frozen=True)
-class PitfallBank(LoadableArtifact):
+class PitfallBank(Artifact):
     """Ordered per-pitfall concepts plus the neutral prompts used to score."""
+
+    KIND = "pitfall bank"
 
     entries: tuple[PitfallBankEntry, ...]
 
@@ -132,34 +134,6 @@ class PitfallBank(LoadableArtifact):
     @property
     def pitfall_ids(self) -> list[str]:
         return [e.pitfall_id for e in self.entries]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "entries": [
-                {
-                    "pitfall_id": e.pitfall_id,
-                    "name": e.name,
-                    "neutral_prompt": e.neutral_prompt,
-                    "concept": e.concept.to_dict(),
-                }
-                for e in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PitfallBank":
-        doc = versioned(doc, "pitfall bank")
-        entries = tuple(
-            PitfallBankEntry(
-                pitfall_id=e["pitfall_id"],
-                name=e["name"],
-                neutral_prompt=e["neutral_prompt"],
-                concept=ConceptVector.from_dict(e["concept"]),
-            )
-            for e in doc["entries"]
-        )
-        return cls(entries=entries)
 
 
 def build_pitfall_bank(
@@ -347,8 +321,10 @@ class PitfallClassifier:
 
 
 @dataclass(frozen=True)
-class AssessorModel(LoadableArtifact):
+class AssessorModel(Artifact):
     """Ordered per-pitfall classifiers; order matches the bank."""
+
+    KIND = "assessor model"
 
     mode: str
     classifiers: tuple[PitfallClassifier, ...]
@@ -361,37 +337,6 @@ class AssessorModel(LoadableArtifact):
     @property
     def pitfall_ids(self) -> list[str]:
         return [c.pitfall_id for c in self.classifiers]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "mode": self.mode,
-            "classifiers": [
-                {
-                    "pitfall_id": c.pitfall_id,
-                    "status": c.status,
-                    "weights": list(c.weights),
-                    "bias": c.bias,
-                    "trained_on": c.trained_on,
-                }
-                for c in self.classifiers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AssessorModel":
-        doc = versioned(doc, "assessor model")
-        classifiers = tuple(
-            PitfallClassifier(
-                pitfall_id=c["pitfall_id"],
-                status=c["status"],
-                weights=tuple(float(w) for w in c["weights"]),
-                bias=float(c["bias"]),
-                trained_on=int(c["trained_on"]),
-            )
-            for c in doc["classifiers"]
-        )
-        return cls(mode=doc["mode"], classifiers=classifiers)
 
 
 def _binary_label(annotation: str) -> int | None:
@@ -474,37 +419,11 @@ class PitfallFinding:
 
 
 @dataclass(frozen=True)
-class PitfallReport(LoadableArtifact):
+class PitfallReport(Artifact):
+    KIND = "pitfall report"
+
     paper_id: str
     findings: tuple[PitfallFinding, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "paper_id": self.paper_id,
-            "findings": [
-                {
-                    "pitfall_id": f.pitfall_id,
-                    "label": f.label,
-                    "probability": f.probability,
-                    "score": f.score,
-                }
-                for f in self.findings
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PitfallReport":
-        findings = tuple(
-            PitfallFinding(
-                pitfall_id=f["pitfall_id"],
-                label=f["label"],
-                probability=None if f["probability"] is None else float(f["probability"]),
-                score=float(f["score"]),
-            )
-            for f in doc["findings"]
-        )
-        return cls(paper_id=doc["paper_id"], findings=findings)
 
 
 def check_alignment(bank: PitfallBank, model: AssessorModel) -> None:

@@ -31,7 +31,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .jsonio import LoadableArtifact, canonical_dumps
+from .jsonio import Artifact, canonical_dumps
 from .measure import as_embedding
 
 CHAT_ROLES = ("system", "user", "assistant", "tool")
@@ -63,7 +63,7 @@ class ScriptExhausted(GatewayError):
 
 
 @dataclass(frozen=True)
-class ChatMessage(LoadableArtifact):
+class ChatMessage(Artifact):
     role: str
     content: str
 
@@ -72,13 +72,6 @@ class ChatMessage(LoadableArtifact):
             raise ValueError(f"unknown chat role: {self.role!r}")
         if self.role in ("user", "assistant") and not self.content:
             raise ValueError(f"{self.role} message content must be nonempty")
-
-    def to_dict(self) -> dict:
-        return {"role": self.role, "content": self.content}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ChatMessage":
-        return cls(role=doc["role"], content=doc["content"])
 
 
 @dataclass(frozen=True)

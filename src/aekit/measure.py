@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .jsonio import LoadableArtifact, versioned
+from .jsonio import Artifact, versioned
 
 if TYPE_CHECKING:
     from .gateway import EmbeddingProvider
@@ -52,7 +52,7 @@ class AllZeroDeltas(ValueError):
 
 
 @dataclass(frozen=True)
-class PromptPair:
+class PromptPair(Artifact):
     """The two poles defining a concept, plus the neutral scoring prompt."""
 
     positive: str
@@ -74,15 +74,6 @@ class PromptPair:
             ensure_ascii=False,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PromptPair":
-        return cls(
-            positive=doc["positive"],
-            negative=doc["negative"],
-            neutral=doc["neutral"],
-            concept_name=doc["concept_name"],
-        )
 
 
 @dataclass(frozen=True)
@@ -252,7 +243,7 @@ def first_principal_component(deltas: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ConceptVector(LoadableArtifact):
+class ConceptVector(Artifact):
     """A distilled unit direction plus the provenance needed to reuse it.
 
     Scores computed against a ConceptVector are only comparable when

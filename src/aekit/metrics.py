@@ -51,21 +51,13 @@ class ConfusionMatrix:
 class MetricSet(Artifact):
     """Derived metrics; None marks an undefined (zero-denominator) cell."""
 
+    KIND = "metric set"
+
     accuracy: float | None
     precision: float | None
     recall: float | None
     f1: float | None
     f2: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "f2": self.f2,
-        }
 
 
 def count_confusion(pairs: Iterable[tuple[bool, bool]]) -> ConfusionMatrix:

@@ -10,6 +10,7 @@ without aborting the batch.
 from __future__ import annotations
 
 import configparser
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,8 +35,8 @@ from .gateway import (
     RemoteEmbeddingProvider,
     ScriptedChatProvider,
 )
-from .jsonio import ConfigError, LoadableArtifact, checked_input, dumps_jsonl, json_object
-from .jsonio import load_artifact, read_text, versioned
+from .jsonio import Artifact, ConfigError, checked_input, dumps_jsonl, json_object
+from .jsonio import load_artifact, read_text
 from .measure import ConceptVector
 from .metrics import ConfusionMatrix, count_confusion, metric_set, render_confusion_table
 from .prepare import (
@@ -173,6 +174,18 @@ _SECTIONS = {
 }
 # The kind of a section with kinds that names none.
 _DEFAULT_KIND = {"embedding": EmbeddingSettings.kind, "chat": ChatSettings.kind}
+# Every key some section takes; ``kind`` picks a section's key table.
+_TAKEN = {"kind"}.union(*(keys for _, keys in _SECTIONS.values()))
+
+
+def _check_defaults(parser: configparser.ConfigParser) -> None:
+    """ConfigError for a ``[DEFAULT]`` key that no section takes and no value interpolates."""
+    raw = [parser.get(name, key, raw=True) for name in parser.sections() for key in parser[name]]
+    raw += parser.defaults().values()
+    used = {parser.optionxform(m) for value in raw for m in re.findall(r"%\(([^)]*)\)s", value)}
+    for key in parser.defaults():
+        if key not in _TAKEN and key not in used:
+            raise ConfigError(f"unknown key {key!r}")
 
 
 def _read_section(parser: configparser.ConfigParser, name: str):
@@ -199,14 +212,17 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
     A section's ``kind`` picks the keys it takes; an absent section or key
     keeps its dataclass's default, and a ``[DEFAULT]`` key applies to every
-    section that takes it.  A file that is missing or not a well-formed
-    UTF-8 INI, an unknown section or key and a value that does not parse
-    or check raise ConfigError naming the file and section.
+    section that takes it (one that none takes must be an interpolation
+    variable, used as ``%(key)s``).  A file that is missing or not a
+    well-formed UTF-8 INI, an unknown section or key and a value that does
+    not parse or check raise ConfigError naming the file and section.
     """
     parser = configparser.ConfigParser()
     where = f"config {path}"
     try:
         parser.read_string(read_text(path), source=str(path))
+        where = f"config {path} [DEFAULT]"
+        _check_defaults(parser)
         settings = {}
         for name in parser.sections():
             where = f"config {path} [{name}]"
@@ -253,7 +269,7 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
 
 
 @dataclass(frozen=True)
-class PrepareSummary(LoadableArtifact):
+class PrepareSummary(Artifact):
     """Deterministic digest of a prepare run for the batch report.
 
     Durations and snapshot refs are wall-clock-dependent, so they stay in
@@ -279,30 +295,11 @@ class PrepareSummary(LoadableArtifact):
             diagnosis=None if report is None else report.diagnosis_text,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "steps": self.steps,
-            "snapshot": self.snapshot,
-            "failed_command": self.failed_command,
-            "exit_code": self.exit_code,
-            "diagnosis": self.diagnosis,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PrepareSummary":
-        return cls(
-            outcome=doc["outcome"],
-            steps=int(doc["steps"]),
-            snapshot=bool(doc["snapshot"]),
-            failed_command=doc.get("failed_command"),
-            exit_code=doc.get("exit_code"),
-            diagnosis=doc.get("diagnosis"),
-        )
-
 
 @dataclass(frozen=True)
-class VerdictReport(LoadableArtifact):
+class VerdictReport(Artifact):
+    KIND = "verdict report"
+
     paper_id: str
     seed: int
     pipeline_label: str
@@ -310,31 +307,6 @@ class VerdictReport(LoadableArtifact):
     prepare: PrepareSummary | None = None
     assess: PitfallReport | None = None
     errors: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "paper_id": self.paper_id,
-            "seed": self.seed,
-            "pipeline_label": self.pipeline_label,
-            "rate": None if self.rate is None else self.rate.to_dict(),
-            "prepare": None if self.prepare is None else self.prepare.to_dict(),
-            "assess": None if self.assess is None else self.assess.to_dict(),
-            "errors": list(self.errors),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VerdictReport":
-        doc = versioned(doc, "verdict report")
-        return cls(
-            paper_id=doc["paper_id"],
-            seed=int(doc["seed"]),
-            pipeline_label=doc["pipeline_label"],
-            rate=None if doc["rate"] is None else RateVerdict.from_dict(doc["rate"]),
-            prepare=None if doc["prepare"] is None else PrepareSummary.from_dict(doc["prepare"]),
-            assess=None if doc["assess"] is None else PitfallReport.from_dict(doc["assess"]),
-            errors=tuple(doc["errors"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .gateway import ChatMessage, ChatProvider
-from .jsonio import Artifact, LoadableArtifact, versioned
+from .jsonio import Artifact
 from .sandbox import CommandStep, SandboxSpec, open_sandbox
 
 ACTION_RUN = "RUN"
@@ -119,33 +119,14 @@ class PrepareLimits:
 
 
 @dataclass(frozen=True)
-class AgentTranscript(LoadableArtifact):
+class AgentTranscript(Artifact):
+    KIND = "transcript"
+
     paper_id: str
     steps: tuple[CommandStep, ...]
     messages: tuple[ChatMessage, ...]
     outcome: str
     outcome_detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "paper_id": self.paper_id,
-            "steps": [s.to_dict() for s in self.steps],
-            "messages": [m.to_dict() for m in self.messages],
-            "outcome": self.outcome,
-            "outcome_detail": self.outcome_detail,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AgentTranscript":
-        doc = versioned(doc, "transcript")
-        return cls(
-            paper_id=doc["paper_id"],
-            steps=tuple(CommandStep.from_dict(s) for s in doc["steps"]),
-            messages=tuple(ChatMessage.from_dict(m) for m in doc["messages"]),
-            outcome=doc["outcome"],
-            outcome_detail=doc["outcome_detail"],
-        )
 
 
 @dataclass(frozen=True)
@@ -154,16 +135,11 @@ class ErrorReport(Artifact):
     exit_code: int
     diagnosis_text: str
 
-    def to_dict(self) -> dict:
-        return {
-            "failed_command": self.failed_command,
-            "exit_code": self.exit_code,
-            "diagnosis_text": self.diagnosis_text,
-        }
-
 
 @dataclass(frozen=True)
 class PrepareOutcome(Artifact):
+    KIND = "prepare outcome"
+
     status: str
     transcript: AgentTranscript
     snapshot_ref: str | None = None
@@ -174,15 +150,6 @@ class PrepareOutcome(Artifact):
             raise ValueError(f"unknown outcome status: {self.status!r}")
         if self.status == OUTCOME_SUCCESS and not self.snapshot_ref:
             raise ValueError("a successful outcome must carry a snapshot ref")
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "status": self.status,
-            "snapshot_ref": self.snapshot_ref,
-            "error_report": None if self.error_report is None else self.error_report.to_dict(),
-            "transcript": self.transcript.to_dict(),
-        }
 
 
 def parse_action(message: ChatMessage) -> AgentAction | None:
@@ -252,28 +219,22 @@ def _next_action(
     chat: ChatProvider, messages: list[ChatMessage]
 ) -> AgentAction:
     """One chat turn, with up to MAX_PARSE_RETRIES corrective re-prompts."""
-    reply = chat.next_message(messages)
-    messages.append(reply)
-    action = parse_action(reply)
-    retries = 0
-    while action is None:
-        if retries >= MAX_PARSE_RETRIES:
-            raise UnparseableAfterRetries(
-                f"no parseable action after {MAX_PARSE_RETRIES} re-prompts"
+    for retry in range(MAX_PARSE_RETRIES + 1):
+        if retry:
+            messages.append(
+                ChatMessage(
+                    "user",
+                    "Your last message had no parseable action. Reply with a single "
+                    "'ACTION: RUN' (one fenced shell command), 'ACTION: DONE <summary>' "
+                    "or 'ACTION: FAIL <reason>'.",
+                )
             )
-        messages.append(
-            ChatMessage(
-                "user",
-                "Your last message had no parseable action. Reply with a single "
-                "'ACTION: RUN' (one fenced shell command), 'ACTION: DONE <summary>' "
-                "or 'ACTION: FAIL <reason>'.",
-            )
-        )
         reply = chat.next_message(messages)
         messages.append(reply)
         action = parse_action(reply)
-        retries += 1
-    return action
+        if action is not None:
+            return action
+    raise UnparseableAfterRetries(f"no parseable action after {MAX_PARSE_RETRIES} re-prompts")
 
 
 def run_prepare_loop(

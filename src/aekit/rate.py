@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .jsonio import LoadableArtifact, versioned
+from .jsonio import Artifact, versioned
 from .measure import ConceptVector, PromptPair, score_documents
 
 LABEL_RUNS = "runs"
@@ -41,8 +41,10 @@ class RateInput:
 
 
 @dataclass(frozen=True)
-class Cutoff(LoadableArtifact):
+class Cutoff(Artifact):
     """Score threshold plus the calibration evidence behind it."""
+
+    KIND = "cutoff"
 
     threshold: float
     train_recall: float
@@ -55,28 +57,11 @@ class Cutoff(LoadableArtifact):
         if self.n_train < 2:
             raise ValueError("calibration needs at least 2 training examples")
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "threshold": self.threshold,
-            "train_recall": self.train_recall,
-            "train_precision": self.train_precision,
-            "n_train": self.n_train,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Cutoff":
-        doc = versioned(doc, "cutoff")
-        return cls(
-            threshold=float(doc["threshold"]),
-            train_recall=float(doc["train_recall"]),
-            train_precision=float(doc["train_precision"]),
-            n_train=int(doc["n_train"]),
-        )
-
 
 @dataclass(frozen=True)
-class RateVerdict(LoadableArtifact):
+class RateVerdict(Artifact):
+    """A paper's score and label; its JSON nests the concept's provenance as ``concept_ref``."""
+
     paper_id: str
     score: float
     label: str
@@ -99,6 +84,7 @@ class RateVerdict(LoadableArtifact):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RateVerdict":
+        doc = versioned(doc, "rate verdict")
         return cls(
             paper_id=doc["paper_id"],
             score=float(doc["score"]),

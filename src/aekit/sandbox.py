@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .jsonio import LoadableArtifact
+from .jsonio import Artifact
 
 BACKEND_LOCAL = "local_process"
 BACKEND_CONTAINER = "container"
@@ -69,7 +69,7 @@ class SandboxSpec:
 
 
 @dataclass(frozen=True)
-class CommandStep(LoadableArtifact):
+class CommandStep(Artifact):
     command: str
     exit_code: int
     stdout_tail: str
@@ -77,29 +77,6 @@ class CommandStep(LoadableArtifact):
     duration: float
     truncated: bool
     timed_out: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "exit_code": self.exit_code,
-            "stdout_tail": self.stdout_tail,
-            "stderr_tail": self.stderr_tail,
-            "duration": self.duration,
-            "truncated": self.truncated,
-            "timed_out": self.timed_out,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CommandStep":
-        return cls(
-            command=doc["command"],
-            exit_code=int(doc["exit_code"]),
-            stdout_tail=doc["stdout_tail"],
-            stderr_tail=doc["stderr_tail"],
-            duration=float(doc["duration"]),
-            truncated=bool(doc["truncated"]),
-            timed_out=bool(doc["timed_out"]),
-        )
 
 
 class _TailBuffer:

@@ -643,6 +643,20 @@ class TestStageCommands:
         assert f"{flags[0]}{root / 'bank.json'}" in err and f"{flags[1]}{given}" in err
         assert not out.exists()
 
+    def test_a_bank_entry_without_a_field_exits_2(self, trained, tmp_path, capsys):
+        root, corpus, config = trained
+        bank = json.loads((root / "bank.json").read_text())
+        del bank["entries"][0]["neutral_prompt"]
+        given = tmp_path / "bank.json"
+        given.write_text(json.dumps(bank))
+        out = tmp_path / "out"
+        argv = stage_argv("assess", root, corpus, out)
+        argv[argv.index("--bank") + 1] = given
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {given}: missing field 'neutral_prompt'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["extract-concept", "rate", "assess", "pipeline"])
     def test_skipped_corpus_entries_are_named_on_stderr(self, trained, tmp_path, capsys, command):
         root, corpus_src, config = trained

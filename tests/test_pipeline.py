@@ -356,6 +356,22 @@ class TestConfigFile:
         assert config.rate == RateSettings(True, "/data/c.json", "/data/k.json")
         assert config.out_dir == "/data/out"
 
+    def test_a_default_key_that_no_section_takes_is_config_error(self, tmp_path):
+        path = tmp_path / "pipe.ini"
+        path.write_text("[DEFAULT]\nmax_iteration = 5\n\n[prepare]\nenabled = false\n")
+        with pytest.raises(ConfigError) as info:
+            load_pipeline_config(path)
+        assert str(info.value) == f"config {path} [DEFAULT]: unknown key 'max_iteration'"
+
+    def test_a_default_key_that_a_value_interpolates_is_accepted(self, tmp_path):
+        path = tmp_path / "pipe.ini"
+        path.write_text(
+            "[DEFAULT]\nRoot = /data\nrun = %(root)s/run\nkind = mock\n\n"
+            "[pipeline]\nout = %(run)s/out\n\n[embedding]\ndim = 8\n"
+        )
+        config = load_pipeline_config(path)
+        assert config.out_dir == "/data/run/out" and config.embedding.dim == 8
+
     @pytest.mark.parametrize(
         "make",
         [lambda: EmbeddingSettings(kind="quantum"), lambda: EmbeddingSettings(kind="remote"),
