@@ -63,6 +63,7 @@ from .prepare import (
     run_prepare_loop,
 )
 from .rate import (
+    ConceptRef,
     Cutoff,
     RateInput,
     RateVerdict,

@@ -82,6 +82,9 @@ class PitfallSpec:
     prompts: PromptPair
 
     def __post_init__(self) -> None:
+        for name in ("pitfall_id", "name"):
+            if type(getattr(self, name)) is not str:
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not self.pitfall_id:
             raise ValueError("pitfall_id must be nonempty")
 
@@ -107,7 +110,7 @@ def load_pitfall_specs(path: str | None = None) -> list[PitfallSpec]:
 
 
 @dataclass(frozen=True)
-class PitfallBankEntry:
+class PitfallBankEntry(Artifact):
     pitfall_id: str
     name: str
     neutral_prompt: str
@@ -302,7 +305,7 @@ def fit_logistic(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PitfallClassifier:
+class PitfallClassifier(Artifact):
     """Per-pitfall trained record; weights has length 1 in univariate mode."""
 
     pitfall_id: str
@@ -411,7 +414,7 @@ def train_assessor(
 
 
 @dataclass(frozen=True)
-class PitfallFinding:
+class PitfallFinding(Artifact):
     pitfall_id: str
     label: str
     probability: float | None

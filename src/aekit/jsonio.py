@@ -4,14 +4,16 @@
 sorted keys, fixed separators, shortest round-trip floats, no NaN/inf.
 
 An :class:`Artifact` is a dataclass whose file format is its fields: its
-``to_dict`` maps each field name to the field's value, a tuple written as a
-JSON array, a nested artifact through its own ``to_dict`` and any other
-nested dataclass as an object of its fields.  ``from_dict`` reverses that:
-every field is required, ``int``, ``float`` and ``bool`` values are coerced
-with their type, ``str`` values pass through and ``X | None`` accepts null.
-A class with a ``KIND`` also writes ``"version": 1`` and reads its document
-through :func:`versioned`, whose errors name the kind.  ``to_json`` and
-``from_json`` wrap the two in canonical JSON.
+``to_dict`` writes each field, a tuple or ndarray as a JSON array and a
+nested artifact as an object.  ``from_dict`` reverses that, requires every
+field (KeyError names a missing one), ignores other keys, and checks each
+value's JSON type: ``bool`` takes only a boolean, ``int`` only an integer,
+``float`` a finite number (an integer is widened), ``str`` a string, a
+tuple or ndarray an array, a nested artifact an object, and only an
+``X | None`` field takes null.  A mismatch raises :class:`FieldError` with
+the path from the document's root, such as ``steps[3].exit_code: expected
+int, got bool``.  A class with a ``KIND`` also writes and requires
+``"version": 1``; its errors name the kind.
 
 Files from outside the program are read inside :func:`checked_input`, which
 turns a malformed file into ConfigError naming it, or with
@@ -23,14 +25,21 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from contextlib import contextmanager
 from typing import Any, Iterable
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid configuration or input file; the message names its source."""
+
+
+class FieldError(ValueError):
+    """A value that does not fit its field; the message starts with the field's path."""
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -61,16 +70,19 @@ class Artifact:
     KIND: str | None = None
 
     def to_dict(self) -> dict:
-        doc = _fields_dict(self)
+        doc = {name: _encode(getattr(self, name)) for name, _ in _fields(type(self))}
         if self.KIND is not None:
             doc["version"] = 1
         return doc
 
     @classmethod
     def from_dict(cls, doc: Any):
-        if cls.KIND is not None:
-            doc = versioned(doc, cls.KIND)
-        return _from_fields(cls, doc)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{cls.KIND or cls.__name__} is not a JSON object")
+        version = doc.get("version")
+        if cls.KIND is not None and (type(version) is not int or version != 1):
+            raise ValueError(f"unsupported {cls.KIND} version: {version}")
+        return cls(**{name: _decode_at(name, hint, doc[name]) for name, hint in _fields(cls)})
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_dict())
@@ -87,10 +99,6 @@ def _fields(cls) -> tuple[tuple[str, Any], ...]:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _fields_dict(obj) -> dict:
-    return {name: _encode(getattr(obj, name)) for name, _ in _fields(type(obj))}
-
-
 def _encode(value: Any) -> Any:
     if isinstance(value, (str, float, int, type(None))):
         return value
@@ -98,13 +106,25 @@ def _encode(value: Any) -> Any:
         return [_encode(v) for v in value]
     if isinstance(value, Artifact):
         return value.to_dict()
-    if dataclasses.is_dataclass(value):
-        return _fields_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 
-def _from_fields(cls, doc: Any):
-    return cls(**{name: _decode(hint, doc[name]) for name, hint in _fields(cls)})
+# Per field type, its name in errors and the exact types of the JSON values
+# (as json.loads makes them) it takes; a nested artifact takes an object.
+_JSON_TYPES = {bool: ("bool", bool), int: ("int", int), float: ("float", int, float),
+               str: ("str", str), tuple: ("array", list), np.ndarray: ("array", list)}
+
+
+def _decode_at(segment: str, hint: Any, value: Any) -> Any:
+    """``_decode(hint, value)``; an error it raises names its path from ``segment`` on."""
+    try:
+        return _decode(hint, value)
+    except FieldError as exc:
+        raise FieldError(segment + ("" if str(exc).startswith("[") else ".") + str(exc)) from None
+    except (ValueError, OverflowError) as exc:
+        raise FieldError(f"{segment}: {exc}") from None
 
 
 def _decode(hint: Any, value: Any) -> Any:
@@ -114,24 +134,23 @@ def _decode(hint: Any, value: Any) -> Any:
             return None
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         return _decode(hint, value)
+    name, *accepted = _JSON_TYPES.get(origin or hint, ("object", dict))
+    if type(value) not in accepted:
+        got = {dict: "object", list: "array", type(None): "null"}.get(type(value), type(value).__name__)
+        raise ValueError(f"expected {name}, got {got}")
+    if hint is float and not math.isfinite(value := float(value)):
+        raise ValueError(f"expected a finite float, got {value}")
     if origin is tuple:
-        return tuple(_decode(typing.get_args(hint)[0], v) for v in value)
-    if isinstance(hint, type) and issubclass(hint, Artifact):
+        return tuple(_decode_at(f"[{i}]", typing.get_args(hint)[0], v) for i, v in enumerate(value))
+    if hint is np.ndarray:
+        if set(map(type, value)) <= {int, float}:
+            array = np.array(value, dtype=np.float64)
+            if np.isfinite(array).all():
+                return array
+        return np.array(_decode(tuple[float, ...], value))  # raises naming the entry at fault
+    if issubclass(hint, Artifact):
         return hint.from_dict(value)
-    if dataclasses.is_dataclass(hint):
-        return _from_fields(hint, value)
-    if hint in (int, float, bool):
-        return hint(value)
     return value
-
-
-def versioned(doc: Any, kind: str) -> dict:
-    """``doc`` if it is a JSON object of format version 1; ValueError otherwise."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{kind} is not a JSON object")
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported {kind} version: {doc.get('version')}")
-    return doc
 
 
 def json_object(text: str, what: str = "the file") -> dict:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from .jsonio import Artifact, versioned
+from .jsonio import Artifact, FieldError
 
 if TYPE_CHECKING:
     from .gateway import EmbeddingProvider
@@ -251,6 +251,8 @@ class ConceptVector(Artifact):
     along and recorded in every verdict downstream.
     """
 
+    KIND = "concept vector"
+
     direction: np.ndarray
     concept_name: str
     provider_id: str
@@ -269,46 +271,22 @@ class ConceptVector(Artifact):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConceptVector):
             return NotImplemented
-        return (
-            np.array_equal(self.direction, other.direction)
-            and self.concept_name == other.concept_name
-            and self.provider_id == other.provider_id
-            and self.prompt_digest == other.prompt_digest
-            and self.probe_count == other.probe_count
-            and self.sign_convention == other.sign_convention
-        )
+        return self.to_dict() == other.to_dict()
 
     @property
     def dim(self) -> int:
         return int(self.direction.size)
 
     def to_dict(self) -> dict:
-        """Versioned fields; the floats round-trip through canonical JSON losslessly."""
-        return {
-            "version": 1,
-            "concept_name": self.concept_name,
-            "provider_id": self.provider_id,
-            "prompt_digest": self.prompt_digest,
-            "probe_count": self.probe_count,
-            "dim": self.dim,
-            "sign_convention": self.sign_convention,
-            "direction": self.direction.tolist(),
-        }
+        """The fields, plus ``dim``, the direction's length, which :meth:`from_dict` checks."""
+        return {**super().to_dict(), "dim": self.dim}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ConceptVector":
-        doc = versioned(doc, "concept vector")
-        direction = np.asarray(doc["direction"], dtype=np.float64)
-        if direction.size != doc["dim"]:
-            raise ValueError("declared dim does not match direction length")
-        return cls(
-            direction=direction,
-            concept_name=doc["concept_name"],
-            provider_id=doc["provider_id"],
-            prompt_digest=doc["prompt_digest"],
-            probe_count=int(doc["probe_count"]),
-            sign_convention=doc.get("sign_convention", SIGN_CONVENTION_MEAN_POSITIVE),
-        )
+    def from_dict(cls, doc: Any) -> "ConceptVector":
+        concept = super().from_dict(doc)
+        if type(doc["dim"]) is not int or doc["dim"] != concept.dim:
+            raise FieldError(f"dim: expected {concept.dim}, the direction's length, got {doc['dim']!r}")
+        return concept
 
 
 def extract_concept_vector(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .jsonio import Artifact, versioned
+from .jsonio import Artifact
 from .measure import ConceptVector, PromptPair, score_documents
 
 LABEL_RUNS = "runs"
@@ -59,40 +59,24 @@ class Cutoff(Artifact):
 
 
 @dataclass(frozen=True)
+class ConceptRef(Artifact):
+    """The concept a score was taken against; scores compare only under equal refs."""
+
+    prompt_digest: str
+    provider_id: str
+
+
+@dataclass(frozen=True)
 class RateVerdict(Artifact):
-    """A paper's score and label; its JSON nests the concept's provenance as ``concept_ref``."""
+    """A paper's score and label, with the cutoff and the concept behind them."""
+
+    KIND = "rate verdict"
 
     paper_id: str
     score: float
     label: str
     cutoff_used: Cutoff
-    prompt_digest: str
-    provider_id: str
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "paper_id": self.paper_id,
-            "score": self.score,
-            "label": self.label,
-            "cutoff_used": self.cutoff_used.to_dict(),
-            "concept_ref": {
-                "prompt_digest": self.prompt_digest,
-                "provider_id": self.provider_id,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RateVerdict":
-        doc = versioned(doc, "rate verdict")
-        return cls(
-            paper_id=doc["paper_id"],
-            score=float(doc["score"]),
-            label=doc["label"],
-            cutoff_used=Cutoff.from_dict(doc["cutoff_used"]),
-            prompt_digest=doc["concept_ref"]["prompt_digest"],
-            provider_id=doc["concept_ref"]["provider_id"],
-        )
+    concept_ref: ConceptRef
 
 
 @functools.cache
@@ -162,8 +146,7 @@ def rate_documents(
             score=score,
             label=LABEL_RUNS if score >= cutoff.threshold else LABEL_NOT_RUNS,
             cutoff_used=cutoff,
-            prompt_digest=concept.prompt_digest,
-            provider_id=concept.provider_id,
+            concept_ref=ConceptRef(concept.prompt_digest, concept.provider_id),
         )
         for input, score in zip(inputs, scores)
     ]

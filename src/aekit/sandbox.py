@@ -236,7 +236,7 @@ class LocalProcessSandbox:
         try:
             with tarfile.open(ref, "w") as tar:
                 for item in sorted(self.workdir.rglob("*")):
-                    tar.add(item, arcname=str(item.relative_to(self.workdir)))
+                    tar.add(item, arcname=str(item.relative_to(self.workdir)), recursive=False)
         except OSError as exc:
             raise SnapshotFailure(f"archiving failed: {exc}") from exc
         return str(ref)
@@ -255,7 +255,7 @@ CliRunner = Callable[..., tuple[int, str, str]]
 def _subprocess_runner(
     args: Sequence[str], timeout: float | None = None
 ) -> tuple[int, str, str]:
-    proc = subprocess.run(args, capture_output=True, text=True, timeout=timeout)
+    proc = subprocess.run(args, capture_output=True, encoding="utf-8", errors="replace", timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 

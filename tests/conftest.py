@@ -92,6 +92,23 @@ class CountingChat:
         return self.inner.next_message(history)
 
 
+# Passed to ``edited`` as the value, it removes the key instead.
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A copy of the JSON document ``doc`` with the value at ``path`` (keys and indices) replaced."""
+    root = json.loads(json.dumps(doc))
+    node = root
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return root
+
+
 def run_message(command):
     return ChatMessage("assistant", f"ACTION: RUN\n```\n{command}\n```")
 

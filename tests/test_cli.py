@@ -10,7 +10,7 @@ from aekit.cli import EXIT_CONFIG, EXIT_OK, main
 from aekit.gateway import ProviderConfig, RemoteEmbeddingProvider
 from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
 
-from conftest import VectorTransport
+from conftest import DELETE, VectorTransport, edited
 
 
 DATA = Path(__file__).parent / "data"
@@ -450,16 +450,23 @@ class TestConfigErrors:
         [
             ("--prompts", "{bad", "is not valid JSON"),
             ("--prompts", '{"positive": "a"}', "missing field 'negative'"),
+            ("--prompts", '{"positive": 5, "negative": "b", "neutral": "c", "concept_name": "d"}',
+             "positive: expected str, got int"),
             ("--pitfalls", "{bad", "is not valid JSON"),
             ("--pitfalls", "[]", "is not a JSON object"),
             ("--pitfalls", '{"pitfalls": [{"pitfall_id": "P1", "positive": "a", "negative": "b", '
                            '"neutral": "c"}]}', "missing field 'name'"),
+            ("--pitfalls", '{"pitfalls": [{"pitfall_id": 3, "name": "n", "positive": "a", "negative": "b", '
+                           '"neutral": "c"}]}', "pitfall_id must be a string, got 3"),
+            ("--pitfalls", '{"pitfalls": [{"pitfall_id": "P1", "name": 5, "positive": "a", "negative": "b", '
+                           '"neutral": "c"}]}', "name must be a string, got 5"),
             ("script", "{bad", "is not valid JSON"),
             ("script", b"\xff\xfe{}", "can't decode byte 0xff"),
             ("script", '{"*": "ab"}', "every script must be a list of strings"),
         ],
-        ids=["prompts-json", "prompts-no-negative", "pitfalls-json", "pitfalls-array",
-             "pitfalls-no-name", "chat-script-json", "chat-script-utf8", "chat-script-string"],
+        ids=["prompts-json", "prompts-no-negative", "prompts-positive-int", "pitfalls-json",
+             "pitfalls-array", "pitfalls-no-name", "pitfalls-id-int", "pitfalls-name-int",
+             "chat-script-json", "chat-script-utf8", "chat-script-string"],
     )
     def test_malformed_prompt_or_script_file_exits_2(
         self, trained, tmp_path, capsys, option, content, message
@@ -641,6 +648,49 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "bank has 10 pitfalls, model has 9" in err
         assert f"{flags[0]}{root / 'bank.json'}" in err and f"{flags[1]}{given}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, artifact, path, value, message",
+        [
+            ("assess", "model", ("classifiers", 0, "trained_on"), True,
+             "classifiers[0].trained_on: expected int, got bool"),
+            ("rate", "cutoff", ("n_train",), 2.9, "n_train: expected int, got float"),
+            ("rate", "cutoff", ("threshold",), "0.5", "threshold: expected float, got str"),
+            ("pipeline", "cutoff", ("threshold",), math.nan, "threshold: expected a finite float, got nan"),
+            ("rate", "cutoff", ("version",), True, "unsupported cutoff version: True"),
+            ("assess", "bank", ("entries", 0, "name"), 5, "entries[0].name: expected str, got int"),
+            ("assess", "bank", ("entries", 0, "concept", "probe_count"), 3.0,
+             "entries[0].concept.probe_count: expected int, got float"),
+            ("assess", "model", ("classifiers", 0, "weights"), "0.5",
+             "classifiers[0].weights: expected array, got str"),
+            ("rate", "concept", ("direction", 3), "0.1", "direction[3]: expected float, got str"),
+            ("pipeline", "bank", ("entries", 1, "concept"), [], "entries[1].concept: expected object, got array"),
+            ("rate", "concept", ("probe_count",), None, "probe_count: expected int, got null"),
+            ("pipeline", "concept", ("dim",), 47, "dim: expected 48, the direction's length, got 47"),
+            ("assess", "bank", ("entries", 0, "concept", "dim"), True,
+             "entries[0].concept.dim: expected 48, the direction's length, got True"),
+            ("rate", "concept", ("sign_convention",), DELETE, "missing field 'sign_convention'"),
+        ],
+        ids=["int-bool", "int-float", "float-str", "float-nan", "version-bool", "str", "nested-int",
+             "tuple", "direction-entry", "nested-object", "null", "dim", "nested-dim", "no-sign"],
+    )
+    def test_a_wrong_typed_artifact_exits_2_naming_the_field(
+        self, trained, tmp_path, capsys, command, artifact, path, value, message
+    ):
+        root, corpus, config = trained
+        given = tmp_path / f"{artifact}.json"
+        given.write_text(json.dumps(edited(json.loads((root / f"{artifact}.json").read_text()), path, value)))
+        out = tmp_path / "out"
+        argv = stage_argv(command, root, corpus, out)
+        if command == "pipeline":
+            text = config.read_text().replace(str(root / f"{artifact}.json"), str(given))
+            config = tmp_path / "pipeline.ini"
+            config.write_text(text)
+        else:
+            argv[argv.index(f"--{artifact}") + 1] = given
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {given}: {message}\n"
         assert not out.exists()
 
     def test_a_bank_entry_without_a_field_exits_2(self, trained, tmp_path, capsys):

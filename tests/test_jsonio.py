@@ -1,7 +1,9 @@
 import importlib
 import inspect
 import json
+import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from aekit.assess import (
     PitfallReport,
 )
 from aekit.gateway import ChatMessage
-from aekit.jsonio import Artifact
+from aekit.jsonio import Artifact, FieldError
 from aekit.measure import ConceptVector, PromptPair
 from aekit.metrics import MetricSet
 from aekit.pipeline import PrepareSummary, VerdictReport
 from aekit.prepare import AgentTranscript, ErrorReport, PrepareOutcome
-from aekit.rate import Cutoff, RateVerdict
+from aekit.rate import ConceptRef, Cutoff, RateVerdict
 from aekit.sandbox import CommandStep
+
+from conftest import DELETE, edited
 
 
 def aekit_classes():
@@ -47,22 +51,27 @@ def sample_artifacts() -> dict:
     error = ErrorReport("make", 2, "boom")
     outcome = PrepareOutcome("failure", transcript, error_report=error)
     summary = PrepareSummary.from_outcome(outcome)
-    verdict = RateVerdict("p1", 0.5, "runs", cutoff, "d" * 64, "mock:3+mean")
-    report = PitfallReport(
-        "p1", (PitfallFinding("P1", "present", 0.875, 1.5), PitfallFinding("P2", "skipped", None, -2.0)),
-    )
+    ref = ConceptRef("d" * 64, "mock:3+mean")
+    verdict = RateVerdict("p1", 0.5, "runs", cutoff, ref)
+    finding = PitfallFinding("P1", "present", 0.875, 1.5)
+    report = PitfallReport("p1", (finding, PitfallFinding("P2", "skipped", None, -2.0)))
+    entry = PitfallBankEntry("P1", "leak", "neutral", concept)
+    classifier = PitfallClassifier("P1", "trained", (0.5, -1.25), 0.125, 10)
     return {
         PromptPair: PromptPair("pos", "neg", "neutral", "c"),
         ConceptVector: concept,
         ChatMessage: ChatMessage("assistant", "ACTION: DONE ok"),
         CommandStep: step,
         Cutoff: cutoff,
+        ConceptRef: ref,
         RateVerdict: verdict,
-        PitfallBank: PitfallBank((PitfallBankEntry("P1", "leak", "neutral", concept),)),
-        AssessorModel: AssessorModel("full_vector", (
-            PitfallClassifier("P1", "trained", (0.5, -1.25), 0.125, 10),
-            PitfallClassifier("P2", "skipped_insufficient_data"),
-        )),
+        PitfallBankEntry: entry,
+        PitfallBank: PitfallBank((entry,)),
+        PitfallClassifier: classifier,
+        AssessorModel: AssessorModel(
+            "full_vector", (classifier, PitfallClassifier("P2", "skipped_insufficient_data")),
+        ),
+        PitfallFinding: finding,
         PitfallReport: report,
         AgentTranscript: transcript,
         ErrorReport: error,
@@ -86,12 +95,20 @@ def test_every_artifact_round_trips_byte_identically():
         assert loaded.to_json() == text, cls
 
 
-def test_only_concept_vector_and_rate_verdict_spell_out_their_format():
+def test_only_concept_vector_overrides_the_codec_and_only_for_dim():
     spelled = {
         cls for cls in aekit_classes()
         if cls is not Artifact and {"to_dict", "from_dict", "to_json", "from_json"} & set(vars(cls))
     }
-    assert spelled == {ConceptVector, RateVerdict}
+    assert spelled == {ConceptVector}
+    concept = sample_artifacts()[ConceptVector]
+    doc = concept.to_dict()
+    assert doc == {**Artifact.to_dict(concept), "dim": 2}
+    assert ConceptVector.from_dict(doc) == Artifact.from_dict.__func__(ConceptVector, doc) == concept
+    with pytest.raises(FieldError, match=r"^dim: expected 2, the direction's length, got True$"):
+        ConceptVector.from_dict({**doc, "dim": True})
+    with pytest.raises(KeyError, match="dim"):
+        ConceptVector.from_dict({k: v for k, v in doc.items() if k != "dim"})
 
 
 def test_the_codec_coerces_numbers_and_requires_every_field():
@@ -127,3 +144,55 @@ def test_versioned_artifacts_reject_other_versions_and_non_objects(cls, kind):
         cls.from_json('{"version": 2}')
     with pytest.raises(ValueError, match=f"^{kind} is not a JSON object$"):
         cls.from_json("[]")
+
+
+@pytest.mark.parametrize(
+    "cls, path, value, message",
+    [
+        (CommandStep, ("truncated",), "false", "truncated: expected bool, got str"),
+        (CommandStep, ("timed_out",), 0, "timed_out: expected bool, got int"),
+        (CommandStep, ("exit_code",), True, "exit_code: expected int, got bool"),
+        (Cutoff, ("threshold",), True, "threshold: expected float, got bool"),
+        (Cutoff, ("threshold",), -math.inf, "threshold: expected a finite float, got -inf"),
+        (Cutoff, ("threshold",), 10**400, "threshold: int too large to convert to float"),
+        (MetricSet, ("f1",), "0.5", "f1: expected float, got str"),
+        (RateVerdict, ("concept_ref", "provider_id"), 5, "concept_ref.provider_id: expected str, got int"),
+        (RateVerdict, ("concept_ref",), None, "concept_ref: expected object, got null"),
+        (RateVerdict, ("cutoff_used",), [], "cutoff_used: expected object, got array"),
+        (RateVerdict, ("cutoff_used", "version"), 2, "cutoff_used: unsupported cutoff version: 2"),
+        (VerdictReport, ("rate", "cutoff_used", "train_recall"), 2.0,
+         "rate.cutoff_used: calibration metrics must lie in [0, 1]"),
+        (VerdictReport, ("errors",), "x", "errors: expected array, got str"),
+        (VerdictReport, ("errors", 0), None, "errors[0]: expected str, got null"),
+        (PrepareOutcome, ("transcript", "steps", 0, "exit_code"), True,
+         "transcript.steps[0].exit_code: expected int, got bool"),
+        (PrepareOutcome, ("transcript", "messages", 1, "content"), None,
+         "transcript.messages[1].content: expected str, got null"),
+        (PitfallReport, ("findings", 1, "probability"), "0.5",
+         "findings[1].probability: expected float, got str"),
+        (PitfallBank, ("entries", 0, "concept", "direction", 1), "-0.8",
+         "entries[0].concept.direction[1]: expected float, got str"),
+        (PitfallBank, ("entries", 0, "concept", "direction"), [[0.6, -0.8]],
+         "entries[0].concept.direction[0]: expected float, got array"),
+        (PitfallBank, ("entries", 0, "concept", "dim"), 3,
+         "entries[0].concept.dim: expected 2, the direction's length, got 3"),
+        (ConceptVector, ("probe_count",), 3.0, "probe_count: expected int, got float"),
+        (ConceptVector, ("direction", 0), math.nan, "direction[0]: expected a finite float, got nan"),
+        (ConceptVector, ("direction", 1), True, "direction[1]: expected float, got bool"),
+        (ConceptVector, ("direction",), "0.6", "direction: expected array, got str"),
+        (AssessorModel, ("classifiers", 0, "weights"), {}, "classifiers[0].weights: expected array, got object"),
+    ],
+)
+def test_the_reader_refuses_a_value_of_the_wrong_json_type(cls, path, value, message):
+    doc = edited(sample_artifacts()[cls].to_dict(), path, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "cls, path",
+    [(ConceptVector, ("sign_convention",)), (PitfallBank, ("entries", 0, "concept", "probe_count"))],
+)
+def test_the_reader_requires_every_field_at_any_depth(cls, path):
+    with pytest.raises(KeyError, match=path[-1]):
+        cls.from_dict(edited(sample_artifacts()[cls].to_dict(), path, DELETE))

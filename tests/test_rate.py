@@ -7,6 +7,7 @@ from aekit import measure
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
 from aekit.measure import ConceptVector
 from aekit.rate import (
+    ConceptRef,
     Cutoff,
     DegenerateLabels,
     LABEL_NOT_RUNS,
@@ -183,8 +184,7 @@ class TestRateDocument:
         docs = {"A": ("p", "r", np.array([2.0, 0, 0, 0]))}
         provider = _provider_for(docs)
         verdict = rate_document(RateInput("A", "p", "r"), _axis_concept(), self.CUTOFF, provider)
-        assert verdict.prompt_digest == "digest"
-        assert verdict.provider_id == "fixed-test"
+        assert verdict.concept_ref == ConceptRef(prompt_digest="digest", provider_id="fixed-test")
 
     def test_verdict_serialization_round_trip(self):
         verdict = RateVerdict(
@@ -192,8 +192,7 @@ class TestRateDocument:
             score=1.25,
             label=LABEL_RUNS,
             cutoff_used=self.CUTOFF,
-            prompt_digest="digest",
-            provider_id="prov",
+            concept_ref=ConceptRef(prompt_digest="digest", provider_id="prov"),
         )
         text = verdict.to_json()
         assert RateVerdict.from_dict(__import__("json").loads(text)).to_json() == text

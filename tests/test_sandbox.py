@@ -18,6 +18,7 @@ from aekit.sandbox import (
     SandboxSpec,
     SnapshotFailure,
     TIMEOUT_EXIT_CODE,
+    _subprocess_runner,
     open_sandbox,
 )
 
@@ -185,6 +186,14 @@ class TestLocalSnapshot:
         with tarfile.open(ref) as tar:
             assert tar.getnames() == ["artifact.txt"]
 
+    def test_each_path_is_archived_once_with_its_contents(self, sandbox, tmp_path):
+        sandbox.run("mkdir -p a/b && printf deep > a/b/f && printf top > top", 10, 1024)
+        ref = sandbox.snapshot("paperX", dest_dir=tmp_path / "snaps")
+        with tarfile.open(ref) as tar:
+            assert tar.getnames() == ["a", "a/b", "a/b/f", "top"]
+            assert tar.extractfile("a/b/f").read() == b"deep"
+            assert tar.extractfile("top").read() == b"top"
+
     def test_snapshot_of_closed_sandbox_fails(self, tmp_path):
         box = open_sandbox(SandboxSpec(backend=BACKEND_LOCAL, workdir=str(tmp_path)))
         box.close()
@@ -264,6 +273,10 @@ class TestContainerSandbox:
         box = ContainerSandbox(self.SPEC, runner=FakeCli(fail_on={"commit"}))
         with pytest.raises(SnapshotFailure):
             box.snapshot("p1")
+
+    def test_runner_replaces_bytes_that_are_not_utf8(self):
+        code, out, err = _subprocess_runner(["bash", "-c", r"printf 'ok\xff\xfe'; printf '\xff' >&2"])
+        assert (code, out, err) == (0, "ok\ufffd\ufffd", "\ufffd")
 
     def test_gpu_flag_forwarded(self):
         cli = FakeCli()
