@@ -5,15 +5,15 @@ sorted keys, fixed separators, shortest round-trip floats, no NaN/inf.
 
 An :class:`Artifact` is a dataclass whose file format is its fields: its
 ``to_dict`` writes each field, a tuple or ndarray as a JSON array and a
-nested artifact as an object.  ``from_dict`` reverses that, requires every
-field (KeyError names a missing one), ignores other keys, and checks each
-value's JSON type: ``bool`` takes only a boolean, ``int`` only an integer,
-``float`` a finite number (an integer is widened), ``str`` a string, a
-tuple or ndarray an array, a nested artifact an object, and only an
-``X | None`` field takes null.  A mismatch raises :class:`FieldError` with
-the path from the document's root, such as ``steps[3].exit_code: expected
-int, got bool``.  A class with a ``KIND`` also writes and requires
-``"version": 1``; its errors name the kind.
+nested artifact as an object.  ``from_dict`` reverses that, ignores other
+keys, and checks each value's JSON type: ``bool`` takes only a boolean,
+``int`` only an integer, ``float`` a finite number (an integer is widened),
+``str`` a string, a tuple or ndarray an array, a nested artifact an object,
+and only an ``X | None`` field takes null.  A mismatch or a missing nested
+field raises :class:`FieldError` with the path from the document's root,
+such as ``steps[3].exit_code: expected int, got bool``; a missing top-level
+field raises KeyError naming it.  A class with a ``KIND`` also writes and
+requires ``"version": 1``; its errors name the kind.
 
 Files from outside the program are read inside :func:`checked_input`, which
 turns a malformed file into ConfigError naming it, or with
@@ -123,6 +123,8 @@ def _decode_at(segment: str, hint: Any, value: Any) -> Any:
         return _decode(hint, value)
     except FieldError as exc:
         raise FieldError(segment + ("" if str(exc).startswith("[") else ".") + str(exc)) from None
+    except KeyError as exc:  # a nested artifact lacks the field
+        raise FieldError(f"{segment}: missing field {exc}") from None
     except (ValueError, OverflowError) as exc:
         raise FieldError(f"{segment}: {exc}") from None
 

@@ -137,10 +137,11 @@ class PipelineConfig:
 
 _cp = configparser.ConfigParser
 _STR, _INT, _FLOAT, _BOOL = _cp.get, _cp.getint, _cp.getfloat, _cp.getboolean
-_PROVIDER_KEYS = {
-    "endpoint_url": _STR, "model_name": _STR, "auth_token_env": _STR, "timeout": _FLOAT,
-    "max_retries": _INT, "embedding_dim": _INT, "pooling": _STR, "cache_dir": _STR,
-}
+# What a remote chat provider reads; a remote embedding provider reads more.
+_CHAT_KEYS = {"endpoint_url": _STR, "model_name": _STR, "auth_token_env": _STR, "timeout": _FLOAT,
+              "max_retries": _INT}
+_EMBEDDING_KEYS = {**_CHAT_KEYS, "embedding_dim": _INT, "pooling": _STR, "cache_dir": _STR,
+                   "batch_size": _INT}
 _SANDBOX_KEYS = {"backend": _STR, "base_image": _STR, "network": _STR, "gpu": _BOOL, "workdir": _STR}
 _LIMITS_KEYS = {"max_iterations": _INT, "command_timeout": _FLOAT, "output_cap": _INT}
 # INI keys whose field is named otherwise.
@@ -164,9 +165,9 @@ def _prepare(**values) -> PrepareSettings:
 # key table, which maps each key the section takes to its typed getter.
 _SECTIONS = {
     ("embedding", "mock"): (EmbeddingSettings, {"seed": _INT, "dim": _INT}),
-    ("embedding", "remote"): (_remote(EmbeddingSettings), {**_PROVIDER_KEYS, "batch_size": _INT}),
+    ("embedding", "remote"): (_remote(EmbeddingSettings), _EMBEDDING_KEYS),
     ("chat", "scripted"): (ChatSettings, {"script": _STR}),
-    ("chat", "remote"): (_remote(ChatSettings), _PROVIDER_KEYS),
+    ("chat", "remote"): (_remote(ChatSettings), _CHAT_KEYS),
     ("rate", None): (RateSettings, {"enabled": _BOOL, "concept": _STR, "cutoff": _STR}),
     ("assess", None): (AssessSettings, {"enabled": _BOOL, "bank": _STR, "model": _STR}),
     ("prepare", None): (_prepare, {"enabled": _BOOL, **_SANDBOX_KEYS, **_LIMITS_KEYS}),

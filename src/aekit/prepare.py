@@ -265,12 +265,15 @@ def run_prepare_loop(
             outcome_detail=detail,
         )
 
-    def failure(detail: str, *, command: str = "", exit_code: int = 0) -> PrepareOutcome:
+    def failure(detail: str, step: CommandStep | None = None, command: str = "") -> PrepareOutcome:
+        """A failure whose evidence is ``step``, or ``command`` when no step ran."""
         return PrepareOutcome(
             status=OUTCOME_FAILURE,
             transcript=transcript(OUTCOME_FAILURE, detail),
             error_report=ErrorReport(
-                failed_command=command, exit_code=exit_code, diagnosis_text=detail
+                failed_command=command if step is None else step.command,
+                exit_code=0 if step is None else step.exit_code,
+                diagnosis_text=detail,
             ),
         )
 
@@ -318,15 +321,11 @@ def run_prepare_loop(
                         if last_step is None
                         else f"premature DONE: last command exited {last_step.exit_code}"
                     )
-                    return failure(
-                        detail,
-                        command="" if last_step is None else last_step.command,
-                        exit_code=0 if last_step is None else last_step.exit_code,
-                    )
+                    return failure(detail, last_step)
                 try:
                     ref = sandbox.snapshot(bundle.paper_id, snapshot_dir)
                 except Exception as exc:
-                    return failure(f"snapshot failed: {exc}", command=last_step.command)
+                    return failure(f"snapshot failed: {exc}", last_step)
                 return PrepareOutcome(
                     status=OUTCOME_SUCCESS,
                     transcript=transcript(OUTCOME_SUCCESS, action.payload),
@@ -334,11 +333,7 @@ def run_prepare_loop(
                 )
 
             # FAIL: the agent gave up; attach the last command's evidence.
-            return failure(
-                action.payload,
-                command="" if last_step is None else last_step.command,
-                exit_code=0 if last_step is None else last_step.exit_code,
-            )
+            return failure(action.payload, last_step)
 
         detail = f"iteration budget of {limits.max_iterations} exhausted"
         return PrepareOutcome(

@@ -2,13 +2,17 @@
 
 Two backends: a container backend driven through the engine CLI
 (create, exec, commit, remove), and a test-only local-process backend
-that runs commands in a throwaway temporary directory.  Both capture the
-trailing bytes of each output stream, enforce per-command timeouts, and
-can snapshot the prepared environment (image commit or tar archive).
+that runs commands in a throwaway temporary directory.  Every process
+either backend starts goes through one reader, :func:`_run_capped`,
+which keeps only the trailing bytes of each output stream while reading,
+returns once the process exits, and kills its process group on timeout.
+Both backends can snapshot the prepared environment (image commit or
+tar archive).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import selectors
 import shutil
@@ -35,6 +39,8 @@ READ_BYTES = 65536
 EXIT_POLL_S = 0.05
 # What a pipe can hold unless the host raised fs.pipe-max-size.
 PIPE_MAX_BYTES = 1 << 20
+# The tail kept of an engine lifecycle call's streams, read for error messages.
+ENGINE_OUTPUT_CAP = 8192
 
 
 class SandboxClosed(RuntimeError):
@@ -142,6 +148,47 @@ def _take_buffered(fd: int, buf: _TailBuffer) -> None:
         taken += len(chunk)
 
 
+def _run_capped(argv: Sequence[str], timeout: float | None, output_cap: int,
+                cwd: str | Path | None = None, env: dict[str, str] | None = None) -> CommandStep:
+    """Run ``argv`` to its exit, keeping each stream's trailing ``output_cap`` bytes.
+
+    The process leads a new session with stdin from /dev/null.  It returns
+    once the process exits, with what its pipes hold by then; background
+    children it leaves running are not waited for.  A ``timeout`` of None
+    means no deadline.  The step's command is argv's last word, the script
+    of a ``bash -c``.
+    """
+    start = time.monotonic()
+    deadline = start + (math.inf if timeout is None else timeout)
+    out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
+    # Leaving the block closes both pipes.
+    with subprocess.Popen(
+        argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdin=subprocess.DEVNULL, start_new_session=True,
+    ) as proc:
+        bufs = {proc.stdout.fileno(): out_buf, proc.stderr.fileno(): err_buf}
+        try:
+            timed_out = _read_until_exit(proc, bufs, deadline)
+        finally:
+            # The process leads its own process group, out of reach of the
+            # terminal's signals.  On timeout or interrupt kill the whole
+            # group, which also ends grandchildren holding the pipes open.
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        for fd, buf in bufs.items():
+            _take_buffered(fd, buf)
+    return CommandStep(
+        command=argv[-1],
+        exit_code=TIMEOUT_EXIT_CODE if timed_out else proc.returncode,
+        stdout_tail=out_buf.text(),
+        stderr_tail=err_buf.text(),
+        duration=time.monotonic() - start,
+        truncated=out_buf.truncated or err_buf.truncated,
+        timed_out=timed_out,
+    )
+
+
 def _sandbox_env(workdir: Path) -> dict[str, str]:
     """The whole environment of a sandboxed command; nothing else is inherited."""
     return {
@@ -159,12 +206,9 @@ class LocalProcessSandbox:
     environment holds only PATH (from the host), LANG=C.UTF-8, and HOME
     and TMPDIR pointing at the workdir.  No host profile or rc file is
     sourced and no other host variable (BASH_ENV, tokens) is passed, so a
-    command's exit code and output tails are its own.  Each command
-    leads a new session, and a timeout kills its whole process group, so
-    a forking command returns at its timeout, not when its last
-    grandchild exits.  A command returns once its shell exits, with what
-    its pipes hold by then; background children it leaves running are
-    not waited for.
+    command's exit code and output tails are its own.  The shell runs
+    through :func:`_run_capped`, so a timeout kills its whole process
+    group and its background children are not waited for.
 
     Network policy follows the host (cannot be constrained here), which
     is why this backend exists for fixtures and demos only.
@@ -188,41 +232,8 @@ class LocalProcessSandbox:
         self._require_open()
         if not command:
             raise ValueError("command must be nonempty")
-        start = time.monotonic()
-        out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
-        # Leaving the block closes both pipes.
-        with subprocess.Popen(
-            ["bash", "-c", command],
-            cwd=self.workdir,
-            env=_sandbox_env(self.workdir),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            stdin=subprocess.DEVNULL,
-            start_new_session=True,
-        ) as proc:
-            bufs = {proc.stdout.fileno(): out_buf, proc.stderr.fileno(): err_buf}
-            try:
-                timed_out = _read_until_exit(proc, bufs, start + timeout)
-            finally:
-                # The command leads its own process group, out of reach of
-                # the terminal's signals.  On timeout or interrupt kill the
-                # whole group, which also ends grandchildren holding the
-                # pipes open.
-                if proc.returncode is None:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                    proc.wait()
-            for fd, buf in bufs.items():
-                _take_buffered(fd, buf)
-        duration = time.monotonic() - start
-        return CommandStep(
-            command=command,
-            exit_code=TIMEOUT_EXIT_CODE if timed_out else proc.returncode,
-            stdout_tail=out_buf.text(),
-            stderr_tail=err_buf.text(),
-            duration=duration,
-            truncated=out_buf.truncated or err_buf.truncated,
-            timed_out=timed_out,
-        )
+        return _run_capped(["bash", "-c", command], timeout, output_cap,
+                           cwd=self.workdir, env=_sandbox_env(self.workdir))
 
     def snapshot(self, paper_id: str, dest_dir: str | Path | None = None) -> str:
         """Tar the workdir; returns the archive path as the snapshot ref."""
@@ -247,16 +258,9 @@ class LocalProcessSandbox:
             self._open = False
 
 
-# runner(args, timeout) -> (exit_code, stdout, stderr); raises
-# subprocess.TimeoutExpired on timeout.  Injectable for tests.
-CliRunner = Callable[..., tuple[int, str, str]]
-
-
-def _subprocess_runner(
-    args: Sequence[str], timeout: float | None = None
-) -> tuple[int, str, str]:
-    proc = subprocess.run(args, capture_output=True, encoding="utf-8", errors="replace", timeout=timeout)
-    return proc.returncode, proc.stdout, proc.stderr
+# runner(argv, timeout, output_cap) -> CommandStep, with the contract of
+# _run_capped; a timeout of None means no deadline.  Injectable for tests.
+CliRunner = Callable[[Sequence[str], float | None, int], CommandStep]
 
 
 class ContainerSandbox:
@@ -264,39 +268,47 @@ class ContainerSandbox:
 
     Lifecycle: `run -d ... sleep infinity` to create, `exec ... bash -c`
     (non-login) per command, `commit` to snapshot, `rm -f` to tear down.
-    The engine binary (docker-compatible) and the runner are injectable
-    so the command sequences are testable without an engine on the host.
+    Every engine call goes through the runner, by default the reader the
+    local backend uses: each output stream's tail is capped while it is
+    read, a step ends when the engine client exits, and a timeout kills
+    the client's process group.  The in-container process of a timed-out
+    `exec` may linger until teardown, which removes the container.  The
+    engine binary (docker-compatible) and the runner are injectable so
+    the command sequences are testable without an engine on the host.
     """
 
     def __init__(
         self,
         spec: SandboxSpec,
         engine: str = "docker",
-        runner: CliRunner | None = None,
+        runner: CliRunner = _run_capped,
     ):
         self.spec = spec
         self.engine = engine
-        self._run_cli = runner or _subprocess_runner
+        self._run_cli = runner
         self._open = False
 
-        code, _, err = self._run_cli([engine, "version"])
-        if code != 0:
-            raise BackendUnavailable(f"{engine} is not available: {err.strip()}")
+        step = self._engine("version")
+        if step.exit_code != 0:
+            raise BackendUnavailable(f"{engine} is not available: {step.stderr_tail.strip()}")
 
         self.container_name = f"aekit-prepare-{os.getpid()}-{time.time_ns()}"
         self.workdir = "/work"
-        args = [engine, "run", "-d", "--name", self.container_name, "-w", self.workdir]
+        args = ["run", "-d", "--name", self.container_name, "-w", self.workdir]
         if spec.network == "denied":
             args += ["--network", "none"]
         if spec.gpu:
             args += ["--gpus", "all"]
-        args += [spec.base_image, "sleep", "infinity"]
-        code, _, err = self._run_cli(args)
-        if code != 0:
-            raise BackendUnavailable(f"container creation failed: {err.strip()}")
-        self._run_cli([engine, "exec", self.container_name, "mkdir", "-p", self.workdir])
+        step = self._engine(*args, spec.base_image, "sleep", "infinity")
+        if step.exit_code != 0:
+            raise BackendUnavailable(f"container creation failed: {step.stderr_tail.strip()}")
+        self._engine("exec", self.container_name, "mkdir", "-p", self.workdir)
         self._open = True
         self._snapshot_counter = 0
+
+    def _engine(self, *args: str) -> CommandStep:
+        """One lifecycle call of the engine CLI, without a deadline."""
+        return self._run_cli([self.engine, *args], None, ENGINE_OUTPUT_CAP)
 
     def _require_open(self) -> None:
         if not self._open:
@@ -306,48 +318,22 @@ class ContainerSandbox:
         self._require_open()
         if not command:
             raise ValueError("command must be nonempty")
-        args = [self.engine, "exec", self.container_name, "bash", "-c", command]
-        start = time.monotonic()
-        timed_out = False
-        out = err = ""
-        code = TIMEOUT_EXIT_CODE
-        try:
-            code, out, err = self._run_cli(args, timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            # The exec client is killed; the in-container process may linger
-            # until teardown, which removes the container entirely.
-            timed_out = True
-            out = (exc.stdout or b"").decode("utf-8", "replace") if isinstance(exc.stdout, bytes) else (exc.stdout or "")
-            err = (exc.stderr or b"").decode("utf-8", "replace") if isinstance(exc.stderr, bytes) else (exc.stderr or "")
-        duration = time.monotonic() - start
-        out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
-        out_buf.feed(out.encode("utf-8"))
-        err_buf.feed(err.encode("utf-8"))
-        return CommandStep(
-            command=command,
-            exit_code=code,
-            stdout_tail=out_buf.text(),
-            stderr_tail=err_buf.text(),
-            duration=duration,
-            truncated=out_buf.truncated or err_buf.truncated,
-            timed_out=timed_out,
-        )
+        return self._run_cli(
+            [self.engine, "exec", self.container_name, "bash", "-c", command], timeout, output_cap)
 
     def snapshot(self, paper_id: str, dest_dir: str | Path | None = None) -> str:
         if not self._open:
             raise SnapshotFailure("cannot snapshot a removed container")
         self._snapshot_counter += 1
         tag = f"prepare/{paper_id}:{time.time_ns()}-{self._snapshot_counter}"
-        code, _, err = self._run_cli(
-            [self.engine, "commit", self.container_name, tag]
-        )
-        if code != 0:
-            raise SnapshotFailure(f"commit failed: {err.strip()}")
+        step = self._engine("commit", self.container_name, tag)
+        if step.exit_code != 0:
+            raise SnapshotFailure(f"commit failed: {step.stderr_tail.strip()}")
         return tag
 
     def close(self) -> None:
         if self._open:
-            self._run_cli([self.engine, "rm", "-f", self.container_name])
+            self._engine("rm", "-f", self.container_name)
             self._open = False
 
 

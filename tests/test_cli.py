@@ -293,10 +293,17 @@ class TestConfigErrors:
              "unknown key 'endpoint_url' for kind = mock"),
             ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nbatch_size = 4\n", "chat",
              "unknown key 'batch_size' for kind = remote"),
+            ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nembedding_dim = 7\n", "chat",
+             "unknown key 'embedding_dim' for kind = remote"),
+            ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\npooling = last\n", "chat",
+             "unknown key 'pooling' for kind = remote"),
+            ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\ncache_dir = /nowhere\n", "chat",
+             "unknown key 'cache_dir' for kind = remote"),
             ("[embedding]\nkind = quantum\n", "embedding", "unknown kind 'quantum'"),
         ],
         ids=["section", "embedding", "chat", "rate", "assess", "prepare", "pipeline", "kind-in-rate",
-             "embedding-mock-endpoint", "chat-remote-batch-size", "embedding-kind"],
+             "embedding-mock-endpoint", "chat-remote-batch-size", "chat-remote-embedding-dim",
+             "chat-remote-pooling", "chat-remote-cache-dir", "embedding-kind"],
     )
     def test_unknown_config_section_or_key_exits_2(
         self, tmp_path, mock_corpus_path, capsys, content, section, message
@@ -704,7 +711,7 @@ class TestStageCommands:
         argv[argv.index("--bank") + 1] = given
         assert run_cli("--config", config, *argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"configuration error: {given}: missing field 'neutral_prompt'\n"
+        assert err == f"configuration error: {given}: entries[0]: missing field 'neutral_prompt'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["extract-concept", "rate", "assess", "pipeline"])

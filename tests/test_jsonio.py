@@ -191,8 +191,15 @@ def test_the_reader_refuses_a_value_of_the_wrong_json_type(cls, path, value, mes
 
 @pytest.mark.parametrize(
     "cls, path",
-    [(ConceptVector, ("sign_convention",)), (PitfallBank, ("entries", 0, "concept", "probe_count"))],
+    [(ConceptVector, ("sign_convention",)), (PitfallBank, ("entries", 0, "concept", "probe_count")),
+     (PitfallBank, ("entries", 0, "neutral_prompt"))],
 )
 def test_the_reader_requires_every_field_at_any_depth(cls, path):
-    with pytest.raises(KeyError, match=path[-1]):
+    # A missing top-level field is the bare KeyError; a nested one is a
+    # FieldError naming the path of the object that lacks it.
+    *parents, name = path
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in parents).lstrip(".")
+    error, message = (FieldError, f"{where}: missing field '{name}'") if parents else (KeyError, f"'{name}'")
+    with pytest.raises(error) as caught:
         cls.from_dict(edited(sample_artifacts()[cls].to_dict(), path, DELETE))
+    assert str(caught.value) == message

@@ -3,22 +3,26 @@ import gc
 import os
 import signal
 import subprocess
+import sys
 import tarfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import aekit
 from aekit.sandbox import (
     BACKEND_CONTAINER,
     BACKEND_LOCAL,
     BackendUnavailable,
+    CommandStep,
     ContainerSandbox,
     SandboxClosed,
     SandboxSpec,
     SnapshotFailure,
     TIMEOUT_EXIT_CODE,
-    _subprocess_runner,
+    _run_capped,
     open_sandbox,
 )
 
@@ -216,12 +220,17 @@ class FakeCli:
         self.calls = []
         self.fail_on = fail_on or set()
 
-    def __call__(self, args, timeout=None):
+    def __call__(self, args, timeout, output_cap):
         self.calls.append(list(args))
         verb = args[1]
         if verb in self.fail_on:
-            return 1, "", f"{verb} failed"
-        return 0, "", ""
+            return _step(args, 1, stderr=f"{verb} failed")
+        return _step(args, 0)
+
+
+def _step(args, exit_code, stderr="", timed_out=False):
+    return CommandStep(command=args[-1], exit_code=exit_code, stdout_tail="", stderr_tail=stderr,
+                       duration=0.0, truncated=False, timed_out=timed_out)
 
 
 class TestContainerSandbox:
@@ -258,11 +267,12 @@ class TestContainerSandbox:
 
     def test_exec_timeout_marks_step(self):
         class TimeoutCli(FakeCli):
-            def __call__(self, args, timeout=None):
+            def __call__(self, args, timeout, output_cap):
                 self.calls.append(list(args))
                 if args[1] == "exec" and "bash" in args:
-                    raise subprocess.TimeoutExpired(cmd=args, timeout=timeout)
-                return 0, "", ""
+                    assert (timeout, output_cap) == (1, 128)
+                    return _step(args, TIMEOUT_EXIT_CODE, timed_out=True)
+                return _step(args, 0)
 
         box = ContainerSandbox(self.SPEC, runner=TimeoutCli())
         step = box.run("sleep 999", timeout=1, output_cap=128)
@@ -275,8 +285,8 @@ class TestContainerSandbox:
             box.snapshot("p1")
 
     def test_runner_replaces_bytes_that_are_not_utf8(self):
-        code, out, err = _subprocess_runner(["bash", "-c", r"printf 'ok\xff\xfe'; printf '\xff' >&2"])
-        assert (code, out, err) == (0, "ok\ufffd\ufffd", "\ufffd")
+        step = _run_capped(["bash", "-c", r"printf 'ok\xff\xfe'; printf '\xff' >&2"], 10, 1024)
+        assert (step.exit_code, step.stdout_tail, step.stderr_tail) == (0, "ok\ufffd\ufffd", "\ufffd")
 
     def test_gpu_flag_forwarded(self):
         cli = FakeCli()
@@ -284,6 +294,101 @@ class TestContainerSandbox:
         ContainerSandbox(spec, runner=cli)
         create = cli.calls[1]
         assert "--gpus" in create
+
+
+# A docker-compatible engine for tests: it logs its argv next to itself,
+# runs an exec'd `bash -c` on the host, and exits 0 on every other verb.
+FAKE_ENGINE = """#!/bin/bash
+printf '%s\\n' "$*" >> "$0.log"
+if [ "$1" = exec ] && [ "$3" = bash ]; then shift 2; exec "$@"; fi
+exit 0
+"""
+
+
+def _fake_engine(tmp_path):
+    engine = tmp_path / "engine"
+    engine.write_text(FAKE_ENGINE)
+    engine.chmod(0o755)
+    return engine
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestContainerDefaultRunner:
+    """The container backend's own runner, on a fake engine executable."""
+
+    SPEC = SandboxSpec(backend=BACKEND_CONTAINER)
+
+    @pytest.fixture
+    def box(self, tmp_path):
+        box = ContainerSandbox(self.SPEC, engine=str(_fake_engine(tmp_path)))
+        yield box
+        box.close()
+
+    def test_engine_calls_go_through_the_runner(self, tmp_path, box):
+        box.run("true", timeout=10, output_cap=1024)
+        box.snapshot("p1")
+        box.close()
+        verbs = [line.split()[0] for line in (tmp_path / "engine.log").read_text().splitlines()]
+        assert verbs == ["version", "run", "exec", "exec", "commit", "rm"]
+
+    def test_output_is_capped_while_it_is_read(self, tmp_path):
+        output_bytes, cap = 64 << 20, 8192
+        script = f"""if True:
+            import resource
+            from aekit.sandbox import BACKEND_CONTAINER, ContainerSandbox, SandboxSpec
+            box = ContainerSandbox(SandboxSpec(backend=BACKEND_CONTAINER),
+                                   engine={str(_fake_engine(tmp_path))!r})
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            step = box.run("head -c {output_bytes} /dev/zero; printf THE-END", 60, {cap})
+            rise_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            box.close()
+            print(step.truncated, len(step.stdout_tail.encode()), step.stdout_tail[-7:], rise_kib)
+        """
+        src = str(Path(aekit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        truncated, tail_bytes, suffix, rise_kib = done.stdout.split()
+        assert (truncated, int(tail_bytes), suffix) == ("True", cap, "THE-END")
+        # ru_maxrss is in KiB on Linux.
+        assert int(rise_kib) * 1024 < output_bytes / 4
+
+    def test_background_children_are_not_waited_for(self, box):
+        step = None
+        try:
+            start = time.monotonic()
+            step = box.run("sleep 20 & echo $!; echo hi", timeout=5, output_cap=1024)
+            assert time.monotonic() - start < 1.0
+            assert step.exit_code == 0 and not step.timed_out
+            assert step.stdout_tail.split()[1] == "hi"
+        finally:
+            if step is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(step.stdout_tail.split()[0]), signal.SIGKILL)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_timeout_kills_the_client_process_group(self, box):
+        step = box.run("sleep 30 & echo $!; sleep 30", timeout=1, output_cap=1024)
+        child = int(step.stdout_tail.split()[0])
+        try:
+            assert step.timed_out and step.exit_code == TIMEOUT_EXIT_CODE
+            # The killed child is orphaned to init, which may reap it a
+            # moment later; until then it lingers as a zombie.
+            deadline = time.monotonic() + 5.0
+            while _running(child):
+                assert time.monotonic() < deadline, "a background child outlived the timeout"
+                time.sleep(0.01)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
 
 
 class TestSandboxSpec:
