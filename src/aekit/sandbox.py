@@ -5,14 +5,15 @@ Two backends: a container backend driven through the engine CLI
 that runs commands in a throwaway temporary directory.  Every process
 either backend starts goes through one reader, :func:`_run_capped`,
 which keeps only the trailing bytes of each output stream while reading,
-returns once the process exits, and kills its process group on timeout.
-Both backends can snapshot the prepared environment (image commit or
-tar archive).
+returns at the exit event of the process's pidfd, and kills its process
+group on timeout; the sandbox therefore needs Linux >= 5.3.  Both
+backends can snapshot the prepared environment (image commit or tar
+archive).
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 import selectors
 import shutil
@@ -34,9 +35,6 @@ DEFAULT_BASE_IMAGE = "nvidia/cuda:12.4.1-runtime-ubuntu22.04"
 TIMEOUT_EXIT_CODE = -1
 
 READ_BYTES = 65536
-# How often a command's exit is checked while a background child keeps
-# its output pipes open.
-EXIT_POLL_S = 0.05
 # What a pipe can hold unless the host raised fs.pipe-max-size.
 PIPE_MAX_BYTES = 1 << 20
 # The tail kept of an engine lifecycle call's streams, read for error messages.
@@ -107,31 +105,37 @@ class _TailBuffer:
         return bytes(self._buf).decode("utf-8", errors="replace")
 
 
-def _read_until_exit(proc: subprocess.Popen, bufs: dict[int, _TailBuffer], deadline: float) -> bool:
-    """Feed the output pipes into their buffers until the command exits.
+def _read_until_exit(proc: subprocess.Popen, bufs: dict[int, _TailBuffer],
+                     deadline: float | None) -> bool:
+    """Feed the output pipes into their buffers until the process exits.
 
-    Returns True if the deadline passes first.  Reading stops when the
-    shell exits even if a background child still holds a pipe open.
+    Returns True if the deadline passes first; a deadline of None means
+    none.  The exit is the event of a pidfd watched beside the pipes, so
+    reading stops when the process exits even if a background child
+    still holds a pipe open.
     """
-    with selectors.DefaultSelector() as sel:
-        for fd, buf in bufs.items():
-            os.set_blocking(fd, False)
-            sel.register(fd, selectors.EVENT_READ, buf)
-        while sel.get_map() and proc.poll() is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return True
-            for key, _ in sel.select(min(remaining, EXIT_POLL_S)):
-                chunk = os.read(key.fd, READ_BYTES)
-                if chunk:
-                    key.data.feed(chunk)
-                else:
-                    sel.unregister(key.fd)
+    pidfd = os.pidfd_open(proc.pid)
     try:
-        proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
-    except subprocess.TimeoutExpired:
-        return True
-    return False
+        with selectors.DefaultSelector() as sel:
+            sel.register(pidfd, selectors.EVENT_READ)
+            for fd, buf in bufs.items():
+                os.set_blocking(fd, False)
+                sel.register(fd, selectors.EVENT_READ, buf)
+            while True:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return True
+                for key, _ in sel.select(remaining):
+                    if key.fd == pidfd:
+                        proc.wait()
+                        return False
+                    chunk = os.read(key.fd, READ_BYTES)
+                    if chunk:
+                        key.data.feed(chunk)
+                    else:
+                        sel.unregister(key.fd)
+    finally:
+        os.close(pidfd)
 
 
 def _take_buffered(fd: int, buf: _TailBuffer) -> None:
@@ -149,23 +153,29 @@ def _take_buffered(fd: int, buf: _TailBuffer) -> None:
 
 
 def _run_capped(argv: Sequence[str], timeout: float | None, output_cap: int,
-                cwd: str | Path | None = None, env: dict[str, str] | None = None) -> CommandStep:
+                cwd: str | Path | None = None, env: dict[str, str] | None = None,
+                groups: list[int] | None = None) -> CommandStep:
     """Run ``argv`` to its exit, keeping each stream's trailing ``output_cap`` bytes.
 
-    The process leads a new session with stdin from /dev/null.  It returns
-    once the process exits, with what its pipes hold by then; background
-    children it leaves running are not waited for.  A ``timeout`` of None
-    means no deadline.  The step's command is argv's last word, the script
-    of a ``bash -c``.
+    The process leads a new session with stdin from /dev/null; its process
+    group id is appended to ``groups`` when given.  It returns once the
+    process exits, with what its pipes hold by then; background children
+    it leaves running are not waited for.  A ``timeout`` of None means no
+    deadline.  The step's command is argv's last word, the script of a
+    ``bash -c``.  Needs Linux >= 5.3 for ``os.pidfd_open``.
     """
+    if not hasattr(os, "pidfd_open"):
+        raise BackendUnavailable("sandboxed processes need os.pidfd_open (Linux >= 5.3)")
     start = time.monotonic()
-    deadline = start + (math.inf if timeout is None else timeout)
+    deadline = None if timeout is None else start + timeout
     out_buf, err_buf = _TailBuffer(output_cap), _TailBuffer(output_cap)
     # Leaving the block closes both pipes.
     with subprocess.Popen(
         argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         stdin=subprocess.DEVNULL, start_new_session=True,
     ) as proc:
+        if groups is not None:
+            groups.append(proc.pid)
         bufs = {proc.stdout.fileno(): out_buf, proc.stderr.fileno(): err_buf}
         try:
             timed_out = _read_until_exit(proc, bufs, deadline)
@@ -208,7 +218,9 @@ class LocalProcessSandbox:
     sourced and no other host variable (BASH_ENV, tokens) is passed, so a
     command's exit code and output tails are its own.  The shell runs
     through :func:`_run_capped`, so a timeout kills its whole process
-    group and its background children are not waited for.
+    group and its background children are not waited for.  Those children
+    live until :meth:`close`, which kills every process group the
+    sandbox started.
 
     Network policy follows the host (cannot be constrained here), which
     is why this backend exists for fixtures and demos only.
@@ -222,6 +234,7 @@ class LocalProcessSandbox:
         self.workdir = Path(tempfile.mkdtemp(prefix="aekit-sandbox-", dir=parent))
         self._open = True
         self._snapshot_counter = 0
+        self._groups: list[int] = []
 
     def _require_open(self) -> None:
         if not self._open:
@@ -233,7 +246,7 @@ class LocalProcessSandbox:
         if not command:
             raise ValueError("command must be nonempty")
         return _run_capped(["bash", "-c", command], timeout, output_cap,
-                           cwd=self.workdir, env=_sandbox_env(self.workdir))
+                           cwd=self.workdir, env=_sandbox_env(self.workdir), groups=self._groups)
 
     def snapshot(self, paper_id: str, dest_dir: str | Path | None = None) -> str:
         """Tar the workdir; returns the archive path as the snapshot ref."""
@@ -254,6 +267,9 @@ class LocalProcessSandbox:
 
     def close(self) -> None:
         if self._open:
+            for pgid in self._groups:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(pgid, signal.SIGKILL)
             shutil.rmtree(self.workdir, ignore_errors=True)
             self._open = False
 
@@ -266,7 +282,8 @@ CliRunner = Callable[[Sequence[str], float | None, int], CommandStep]
 class ContainerSandbox:
     """Container backend driven through the engine CLI.
 
-    Lifecycle: `run -d ... sleep infinity` to create, `exec ... bash -c`
+    Lifecycle: `run -d -w /work ... sleep infinity` to create (`-w`
+    makes the missing workdir), `exec ... bash -c`
     (non-login) per command, `commit` to snapshot, `rm -f` to tear down.
     Every engine call goes through the runner, by default the reader the
     local backend uses: each output stream's tail is capped while it is
@@ -288,10 +305,6 @@ class ContainerSandbox:
         self._run_cli = runner
         self._open = False
 
-        step = self._engine("version")
-        if step.exit_code != 0:
-            raise BackendUnavailable(f"{engine} is not available: {step.stderr_tail.strip()}")
-
         self.container_name = f"aekit-prepare-{os.getpid()}-{time.time_ns()}"
         self.workdir = "/work"
         args = ["run", "-d", "--name", self.container_name, "-w", self.workdir]
@@ -302,7 +315,6 @@ class ContainerSandbox:
         step = self._engine(*args, spec.base_image, "sleep", "infinity")
         if step.exit_code != 0:
             raise BackendUnavailable(f"container creation failed: {step.stderr_tail.strip()}")
-        self._engine("exec", self.container_name, "mkdir", "-p", self.workdir)
         self._open = True
         self._snapshot_counter = 0
 

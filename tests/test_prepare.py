@@ -150,6 +150,15 @@ class TestPrepareLoop:
         assert outcome.status == OUTCOME_SUCCESS
         assert [s.exit_code for s in outcome.transcript.steps] == [1, 0]
 
+    def test_a_host_without_pidfd_open_fails_the_paper(self, tmp_path, monkeypatch):
+        monkeypatch.delattr("os.pidfd_open")
+        chat = ScriptedChatProvider([run_message("true"), done_message()])
+        outcome = run_prepare_loop(BUNDLE, local_spec(tmp_path), chat, LIMITS)
+        assert outcome.status == OUTCOME_FAILURE
+        assert outcome.error_report.diagnosis_text == (
+            "sandbox error: sandboxed processes need os.pidfd_open (Linux >= 5.3)")
+        assert outcome.error_report.failed_command == "true"
+
     def test_unparseable_after_retries_becomes_failure(self, tmp_path):
         prose = ChatMessage("assistant", "thinking out loud, no action")
         chat = CountingChat(ScriptedChatProvider([prose, prose, prose, prose, done_message()]))

@@ -116,9 +116,33 @@ class TestLocalSandbox:
             warnings.simplefilter("always", ResourceWarning)
             for _ in range(20):
                 sandbox.run("echo out; echo err >&2", 10, 1024)
+            # A background child that keeps the pipes open, then a timeout.
+            sandbox.run("sleep 30 & echo out", 10, 1024)
+            assert sandbox.run("sleep 30", 0.1, 1024).timed_out
             gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_close_kills_the_groups_the_sandbox_started(self, tmp_path):
+        box = open_sandbox(SandboxSpec(backend=BACKEND_LOCAL, workdir=str(tmp_path)))
+        child = None
+        try:
+            box.run("(sleep 41 & echo $! > pidfile)", 10, 1024)
+            child = int((box.workdir / "pidfile").read_text())
+            assert _running(child)
+            box.close()
+            # The killed child is orphaned to init, which may reap it a
+            # moment later; until then it lingers as a zombie.
+            deadline = time.monotonic() + 5.0
+            while _running(child):
+                assert time.monotonic() < deadline, "a background child outlived close()"
+                time.sleep(0.01)
+        finally:
+            box.close()
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
 
     def test_commands_run_in_workdir(self, sandbox):
         step = sandbox.run("pwd", 10, 1024)
@@ -243,23 +267,20 @@ class TestContainerSandbox:
         ref = box.snapshot("p9")
         box.close()
 
-        verbs = [c[1] for c in cli.calls]
-        assert verbs[0] == "version"
-        assert verbs[1] == "run"
-        assert "exec" in verbs
-        run_exec = [c for c in cli.calls if c[1] == "exec"][-1]
+        assert [c[1] for c in cli.calls] == ["run", "exec", "commit", "rm"]
+        create, run_exec = cli.calls[:2]
         assert run_exec[-3:] == ["bash", "-c", "make"]
-        assert "commit" in verbs
-        assert verbs[-1] == "rm"
-
-        create = cli.calls[1]
+        assert create[create.index("-w") + 1] == "/work"
         assert "--network" in create and "none" in create
         assert "img:tag" in create
         assert ref.startswith("prepare/p9:")
 
     def test_engine_unavailable(self):
-        with pytest.raises(BackendUnavailable):
-            ContainerSandbox(self.SPEC, runner=FakeCli(fail_on={"version"}))
+        # Opening is one engine call, so an engine that cannot run reports through `run -d`.
+        cli = FakeCli(fail_on={"run"})
+        with pytest.raises(BackendUnavailable, match="run failed"):
+            ContainerSandbox(self.SPEC, runner=cli)
+        assert [c[1] for c in cli.calls] == ["run"]
 
     def test_create_failure_is_backend_unavailable(self):
         with pytest.raises(BackendUnavailable):
@@ -292,7 +313,7 @@ class TestContainerSandbox:
         cli = FakeCli()
         spec = SandboxSpec(backend=BACKEND_CONTAINER, gpu=True)
         ContainerSandbox(spec, runner=cli)
-        create = cli.calls[1]
+        create = cli.calls[0]
         assert "--gpus" in create
 
 
@@ -337,7 +358,7 @@ class TestContainerDefaultRunner:
         box.snapshot("p1")
         box.close()
         verbs = [line.split()[0] for line in (tmp_path / "engine.log").read_text().splitlines()]
-        assert verbs == ["version", "run", "exec", "exec", "commit", "rm"]
+        assert verbs == ["run", "exec", "commit", "rm"]
 
     def test_output_is_capped_while_it_is_read(self, tmp_path):
         output_bytes, cap = 64 << 20, 8192
@@ -389,6 +410,33 @@ class TestContainerDefaultRunner:
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(child, signal.SIGKILL)
+
+
+@pytest.fixture(params=[BACKEND_LOCAL, BACKEND_CONTAINER])
+def any_box(request, tmp_path):
+    """A local sandbox, or a container sandbox on the fake engine."""
+    if request.param == BACKEND_LOCAL:
+        box = open_sandbox(SandboxSpec(backend=BACKEND_LOCAL, workdir=str(tmp_path)))
+    else:
+        box = ContainerSandbox(SandboxSpec(backend=BACKEND_CONTAINER), engine=str(_fake_engine(tmp_path)))
+    yield box
+    box.close()
+
+
+def test_a_silent_background_child_does_not_delay_the_exit(any_box, tmp_path):
+    # The commands write nothing, so no pipe event wakes the reader; only
+    # the exit itself can end each step at once.
+    pid_files = [tmp_path / f"bg{i}.pid" for i in range(10)]
+    try:
+        start = time.monotonic()
+        for pid_file in pid_files:
+            step = any_box.run(f"sleep 30 & echo $! > {pid_file}", timeout=10, output_cap=1024)
+            assert step.exit_code == 0 and not step.timed_out
+        assert time.monotonic() - start < 0.3
+    finally:
+        for pid_file in pid_files:
+            with contextlib.suppress(FileNotFoundError, ValueError, ProcessLookupError):
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
 class TestSandboxSpec:
