@@ -9,8 +9,10 @@ two small capability interfaces, never model specifics.
 Secrets are read from the environment variable named in the config and
 never stored or serialized.  Remote embeddings are requested in batches,
 each distinct item once per call.  With a cache directory configured they
-are also cached on disk, keyed by a content digest, so probing the same
-text twice costs one request; without one, no vector outlives its call.
+are also cached on disk as ``<cache_dir>/<provider_id>/<sha256>.json``,
+named by a content digest, so probing the same text twice costs one
+request; without one, no vector outlives its call.  Each response, and
+each call's cache hits, is converted and checked as one block.
 Both embedding providers JSON-encode each distinct document once per
 ``embed_many`` call, however many prompts it is embedded under.  The mock
 also reuses the previous call's encodings, so the pitfall bank's
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -32,7 +35,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .jsonio import Artifact, canonical_dumps
-from .measure import as_embedding
+from .measure import _as_block
 
 CHAT_ROLES = ("system", "user", "assistant", "tool")
 
@@ -99,8 +102,10 @@ class ProviderConfig:
             raise ValueError(f"endpoint_url must be an http(s) URL, got {self.endpoint_url!r}")
         if not self.model_name:
             raise ValueError("model_name must not be empty")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and positive, got {self.timeout}")
+        if self.embedding_dim is not None and self.embedding_dim < 1:
+            raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
         if self.batch_size < 1:
@@ -229,41 +234,6 @@ class ScriptedChatProvider:
 
 
 # --------------------------------------------------------------------------
-# Disk cache
-# --------------------------------------------------------------------------
-
-class ResponseCache:
-    """Content-addressed response cache: cache/<provider>/<sha256>.json.
-
-    Writes go through a temp file and an atomic rename so concurrent
-    readers never observe a partial file.
-    """
-
-    def __init__(self, root: str | Path, provider_id: str):
-        safe = provider_id.replace(os.sep, "_").replace(":", "_")
-        self._dir = Path(root) / safe
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def path_for(self, key: str) -> Path:
-        return self._dir / f"{key}.json"
-
-    def get(self, key: str) -> str | None:
-        path = self.path_for(key)
-        try:
-            return path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-
-    def put(self, key: str, text: str) -> None:
-        path = self.path_for(key)
-        with self._lock:
-            tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-
-
-# --------------------------------------------------------------------------
 # Remote providers (OpenAI-compatible wire protocol)
 # --------------------------------------------------------------------------
 
@@ -354,9 +324,13 @@ class RemoteEmbeddingProvider(_RemoteBase):
     ):
         super().__init__(cfg, transport, sleep)
         self.provider_id = f"{cfg.model_name}+{cfg.pooling}"
-        self._disk = (
-            ResponseCache(cfg.cache_dir, self.provider_id) if cfg.cache_dir else None
-        )
+        # The disk cache: <cache_dir>/<provider_id>/<sha256>.json.
+        self._cache_dir: Path | None = None
+        if cfg.cache_dir:
+            safe = self.provider_id.replace(os.sep, "_").replace(":", "_")
+            self._cache_dir = Path(cfg.cache_dir) / safe
+            self._cache_dir.mkdir(parents=True, exist_ok=True)
+        self._cache_lock = threading.Lock()
         # All vectors from one configuration must share a dimension, even
         # when embedding_dim was left unconfigured.
         self._seen_dim: int | None = cfg.embedding_dim
@@ -394,33 +368,32 @@ class RemoteEmbeddingProvider(_RemoteBase):
     def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
         """Embed ``(system_prompt, document)`` pairs as an (n, d) block, in order.
 
-        Each distinct item is looked up in the disk cache, if any; the
-        misses are requested once each, first occurrence first, in chunks
-        of ``cfg.batch_size``.
+        Each distinct item is looked up in the disk cache, if any, and the
+        call's hits are checked as one block; the misses are requested once
+        each, first occurrence first, in chunks of ``cfg.batch_size``.
         """
         if not items:
             return np.empty((0, self._seen_dim or 0))
         distinct = list(dict.fromkeys(items))
         vectors: dict[tuple[str, str], np.ndarray] = {}
         keys: dict[tuple[str, str], str] = {}
-        if self._disk is not None:
+        if self._cache_dir is not None:
             keys = dict(zip(distinct, self._cache_keys(distinct)))
-            for item in distinct:
-                hit = self._cache_get(keys[item])
-                if hit is not None:
-                    vectors[item] = hit
+            hits = {item: row for item in distinct if (row := self._cache_get(keys[item])) is not None}
+            if hits:
+                vectors = dict(zip(hits, self._block(list(hits.values()))))
         misses = [item for item in distinct if item not in vectors]
         step = self.cfg.batch_size
         for start in range(0, len(misses), step):
             chunk = misses[start:start + step]
             for item, vec in zip(chunk, self._fetch([f"{p}\n\n{d}" for p, d in chunk])):
-                if self._disk is not None:
+                if self._cache_dir is not None:
                     self._cache_put(keys[item], vec)
                 vectors[item] = vec
         return np.array([vectors[item] for item in items])
 
-    def _fetch(self, inputs: list[str]) -> list[np.ndarray]:
-        """One request for ``inputs``; rows placed by each response item's index."""
+    def _fetch(self, inputs: list[str]) -> np.ndarray:
+        """One request for ``inputs``: its rows, placed by each response item's index, as one block."""
         doc = self._request("/v1/embeddings", {"model": self.cfg.model_name, "input": inputs})
         try:
             data = doc["data"]
@@ -433,25 +406,43 @@ class RemoteEmbeddingProvider(_RemoteBase):
                 f"response indexes {indexes} do not cover inputs 0..{len(inputs) - 1} once each"
             )
         by_index = dict(zip(indexes, values))
-        return [self._checked(by_index[i]) for i in range(len(inputs))]
+        return self._block([by_index[i] for i in range(len(inputs))])
 
-    def _checked(self, values) -> np.ndarray:
-        """An embedding of the configuration's one dimension."""
-        vec = as_embedding(values)
+    def _block(self, rows: list) -> np.ndarray:
+        """``rows`` as one (k, d) float64 block, converted and checked once.
+
+        The rows must be finite and nonempty (``measure._as_block``) and of
+        the configuration's one width: ``cfg.embedding_dim``, else the
+        first width this provider saw.
+        """
+        try:
+            block = _as_block(np.asarray(rows, dtype=np.float64))
+        except ValueError:
+            if len(rows) > 1:  # not one block: the first row that fails alone names the fault
+                for row in rows:
+                    self._block([row])
+            raise
         if self._seen_dim is None:
-            self._seen_dim = vec.size
-        if vec.size != self._seen_dim:
-            raise EmbeddingDimensionMismatch(
-                f"expected dim {self._seen_dim}, response has {vec.size}"
-            )
-        return vec
+            self._seen_dim = block.shape[1]
+        if block.shape[1] != self._seen_dim:
+            raise EmbeddingDimensionMismatch(f"expected dim {self._seen_dim}, response has {block.shape[1]}")
+        return block
 
-    def _cache_get(self, key: str) -> np.ndarray | None:
-        hit = self._disk.get(key)
-        return None if hit is None else self._checked(json.loads(hit)["embedding"])
+    def _cache_get(self, key: str) -> list | None:
+        """The row cached under ``key``, as read, or None."""
+        try:
+            text = (self._cache_dir / f"{key}.json").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+        return json.loads(text)["embedding"]
 
-    def _cache_put(self, key: str, vec: np.ndarray) -> None:
-        self._disk.put(key, canonical_dumps({"embedding": vec.tolist()}))
+    def _cache_put(self, key: str, row: np.ndarray) -> None:
+        """Cache ``row`` under ``key`` via a temp file and an atomic rename: no partial reads."""
+        path = self._cache_dir / f"{key}.json"
+        with self._cache_lock:
+            tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
+            tmp.write_text(canonical_dumps({"embedding": row.tolist()}), encoding="utf-8")
+            os.replace(tmp, path)
 
 
 class RemoteChatProvider(_RemoteBase):

@@ -15,6 +15,7 @@ converted to a failure with a "premature DONE" diagnosis.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,8 +115,10 @@ class PrepareLimits:
     def __post_init__(self) -> None:
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.command_timeout <= 0 or self.output_cap <= 0:
-            raise ValueError("command_timeout and output_cap must be positive")
+        if not 0 < self.command_timeout < math.inf:
+            raise ValueError(f"command_timeout must be finite and positive, got {self.command_timeout}")
+        if self.output_cap <= 0:
+            raise ValueError("output_cap must be positive")
 
 
 @dataclass(frozen=True)

@@ -300,10 +300,25 @@ class TestConfigErrors:
             ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\ncache_dir = /nowhere\n", "chat",
              "unknown key 'cache_dir' for kind = remote"),
             ("[embedding]\nkind = quantum\n", "embedding", "unknown kind 'quantum'"),
+            # Values that parse but that no stage can use.
+            ("[prepare]\ncommand_timeout = inf\n", "prepare",
+             "command_timeout must be finite and positive, got inf"),
+            ("[prepare]\ncommand_timeout = nan\n", "prepare",
+             "command_timeout must be finite and positive, got nan"),
+            ("[prepare]\ncommand_timeout = 0\n", "prepare",
+             "command_timeout must be finite and positive, got 0.0"),
+            ("[embedding]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nembedding_dim = 0\n",
+             "embedding", "embedding_dim must be >= 1, got 0"),
+            ("[embedding]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\ntimeout = nan\n",
+             "embedding", "timeout must be finite and positive, got nan"),
+            ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\ntimeout = inf\n", "chat",
+             "timeout must be finite and positive, got inf"),
         ],
         ids=["section", "embedding", "chat", "rate", "assess", "prepare", "pipeline", "kind-in-rate",
              "embedding-mock-endpoint", "chat-remote-batch-size", "chat-remote-embedding-dim",
-             "chat-remote-pooling", "chat-remote-cache-dir", "embedding-kind"],
+             "chat-remote-pooling", "chat-remote-cache-dir", "embedding-kind",
+             "prepare-command-timeout-inf", "prepare-command-timeout-nan", "prepare-command-timeout-zero",
+             "embedding-dim-zero", "embedding-timeout-nan", "chat-timeout-inf"],
     )
     def test_unknown_config_section_or_key_exits_2(
         self, tmp_path, mock_corpus_path, capsys, content, section, message

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -460,6 +461,80 @@ class TestRemoteEmbeddingBatches:
         assert transport.requests == []
 
 
+class TestBlockCheck:
+    """Each response, and each call's cache hits, is checked as one block."""
+
+    ITEMS = [("p", "a"), ("p", "b")]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0, 0.0], [float("nan"), 0.0]], "embedding contains non-finite entries"),
+            ([[1.0, 0.0], [1.0, "x"]], "could not convert string to float"),
+            ([[], []], r"embedding must be a nonempty 1-D vector, got shape \(0,\)"),
+            ([[1.0, 0.0], []], r"embedding must be a nonempty 1-D vector, got shape \(0,\)"),
+        ],
+        ids=["nan", "string", "no-entries", "one-row-without-entries"],
+    )
+    def test_a_bad_response_row_raises_value_error(self, rows, message):
+        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, batch_body(rows, [0, 1]))]))
+        with pytest.raises(ValueError, match=message):
+            provider.embed_many(self.ITEMS)
+
+    def test_ragged_rows_name_the_first_other_width(self):
+        body = batch_body([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0]], [0, 1, 2])
+        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, body)]))
+        with pytest.raises(EmbeddingDimensionMismatch, match="expected dim 2, response has 3"):
+            provider.embed_many(self.ITEMS + [("p", "c")])
+
+    def test_a_cached_row_of_another_width_sends_no_request(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        RemoteEmbeddingProvider(make_cfg(cache_dir=cache_dir), VectorTransport(dim=4)).embed_many(self.ITEMS)
+        transport = FakeTransport([])
+        provider = RemoteEmbeddingProvider(make_cfg(cache_dir=cache_dir, embedding_dim=3), transport)
+        with pytest.raises(EmbeddingDimensionMismatch, match="expected dim 3, response has 4"):
+            provider.embed_many(self.ITEMS + [("p", "new")])
+        assert transport.requests == []
+
+    def test_a_cached_nan_raises_value_error(self, tmp_path):
+        cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
+        RemoteEmbeddingProvider(cfg, VectorTransport()).embed_many(self.ITEMS)
+        path = sorted((tmp_path / "cache").rglob("*.json"))[0]
+        path.write_text('{"embedding":[NaN,0.5,0.5,0.5]}')
+        transport = FakeTransport([])
+        with pytest.raises(ValueError, match="embedding contains non-finite entries"):
+            RemoteEmbeddingProvider(cfg, transport).embed_many(self.ITEMS)
+        assert transport.requests == []
+
+    def test_concurrent_cache_writes_leave_whole_files(self, tmp_path):
+        cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
+        transport = VectorTransport()
+        provider = RemoteEmbeddingProvider(cfg, transport)
+        items = [(f"prompt {i % 2}", f"doc {i}") for i in range(8)]
+        start = threading.Barrier(4)
+
+        def embed(_):
+            start.wait()
+            return provider.embed_many(items)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                blocks = list(pool.map(embed, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = np.array([transport.vector(f"{p}\n\n{d}") for p, d in items])
+        assert all(block.tobytes() == expected.tobytes() for block in blocks)
+        files = list((tmp_path / "cache").rglob("*"))
+        assert len([f for f in files if f.suffix == ".json"]) == 8
+        assert [f for f in files if ".tmp-" in f.name] == []
+
+        replay = FakeTransport([])
+        assert RemoteEmbeddingProvider(cfg, replay).embed_many(items).tobytes() == expected.tobytes()
+        assert replay.requests == []
+
+
 class TestRemoteChat:
     def test_returns_assistant_message(self):
         body = json.dumps(
@@ -499,6 +574,17 @@ class TestProviderConfig:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
             make_cfg(timeout=0)
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("inf"), float("nan")])
+    def test_rejects_an_unusable_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be finite and positive"):
+            make_cfg(timeout=timeout)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_rejects_embedding_dim_below_one(self, dim):
+        with pytest.raises(ValueError, match="embedding_dim must be >= 1"):
+            make_cfg(embedding_dim=dim)
+        assert make_cfg(embedding_dim=1).embedding_dim == 1
 
     def test_rejects_batch_size_below_one(self, tmp_path):
         with pytest.raises(ValueError):

@@ -35,6 +35,17 @@ def local_spec(tmp_path):
     return SandboxSpec(backend=BACKEND_LOCAL, workdir=str(tmp_path / "boxes"))
 
 
+class TestPrepareLimits:
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("inf"), float("nan")])
+    def test_rejects_an_unusable_command_timeout(self, timeout):
+        with pytest.raises(ValueError, match="command_timeout must be finite and positive"):
+            PrepareLimits(command_timeout=timeout)
+
+    def test_rejects_a_nonpositive_output_cap(self):
+        with pytest.raises(ValueError, match="output_cap must be positive"):
+            PrepareLimits(output_cap=0)
+
+
 class TestParseAction:
     def test_run_with_fenced_command(self):
         msg = ChatMessage("assistant", "ACTION: RUN\n```\npip install -r requirements.txt\n```")
