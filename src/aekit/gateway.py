@@ -7,12 +7,14 @@ mocks for offline runs and tests.  Everything downstream only sees the
 two small capability interfaces, never model specifics.
 
 Secrets are read from the environment variable named in the config and
-never stored or serialized.  Remote embeddings are requested in batches,
-each distinct item once per call.  With a cache directory configured they
+never stored or serialized.  A remote provider without an injected
+transport posts through its own ``requests.Session``, reusing connections
+until ``close()``.  Remote embeddings are requested in batches, each
+distinct item once per call.  With a cache directory configured they
 are also cached on disk as ``<cache_dir>/<provider_id>/<sha256>.json``,
 named by a content digest, so probing the same text twice costs one
-request; without one, no vector outlives its call.  Each response, and
-each call's cache hits, is converted and checked as one block.
+request; without one, no vector outlives its call.  Each response is
+converted and checked as one block, and each cache hit as it is read.
 Both embedding providers JSON-encode each distinct document once per
 ``embed_many`` call, however many prompts it is embedded under.  The mock
 also reuses the previous call's encodings, so the pitfall bank's
@@ -34,7 +36,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .jsonio import Artifact, canonical_dumps
+from .jsonio import Artifact, canonical_dumps, json_object
 from .measure import _as_block
 
 CHAT_ROLES = ("system", "user", "assistant", "tool")
@@ -241,13 +243,6 @@ class ScriptedChatProvider:
 Transport = Callable[[str, dict, dict, float], tuple[int, bytes]]
 
 
-def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, bytes]:
-    import requests
-
-    resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-    return resp.status_code, resp.content
-
-
 class _RemoteBase:
     def __init__(
         self,
@@ -256,9 +251,24 @@ class _RemoteBase:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
-        self._transport = transport or _requests_transport
+        self._session = None
+        if transport is None:
+            import requests
+
+            self._session = requests.Session()
+        self._transport = transport or self._post
         self._sleep = sleep
         self._slots = threading.Semaphore(DEFAULT_MAX_IN_FLIGHT)
+
+    def _post(self, url: str, headers: dict, body: dict, timeout: float) -> tuple[int, bytes]:
+        """The default transport: the provider's one ``requests.Session``, which reuses connections."""
+        resp = self._session.post(url, headers=headers, json=body, timeout=timeout)
+        return resp.status_code, resp.content
+
+    def close(self) -> None:
+        """Close the default transport's connections; an injected transport is its owner's to close."""
+        if self._session is not None:
+            self._session.close()
 
     def _token(self) -> str:
         token = os.environ.get(self.cfg.auth_token_env)
@@ -338,27 +348,23 @@ class RemoteEmbeddingProvider(_RemoteBase):
     def _cache_keys(self, items: Sequence[tuple[str, str]]) -> list[str]:
         """The cache key of each item, in order.
 
-        A key is the sha256 of the canonical JSON of ``{"document",
-        "kind", "model", "pooling", "system_prompt"}``.  Sorted keys put
-        the document first, so each distinct document is encoded and
-        hashed once per call, and each item only hashes its prompt's
-        suffix onto a copy of that state.
+        A key is the sha256 of ``canonical_dumps`` of ``{"document", "kind",
+        "model", "pooling", "system_prompt"}``.  ``"document"`` sorts first,
+        so that text is the document's one-key object up to its closing
+        brace, a comma, and the other four keys' object after its opening
+        brace.  Each distinct document is encoded and hashed once per call,
+        and each item only hashes its other four onto a copy of that state.
         """
-        head = (
-            ',"kind":"embeddings","model":' + canonical_dumps(self.cfg.model_name)
-            + ',"pooling":' + canonical_dumps(self.cfg.pooling)
-            + ',"system_prompt":'
-        )
-        prefixes = {}  # document -> sha256 state after its prefix
+        rest = {"kind": "embeddings", "model": self.cfg.model_name, "pooling": self.cfg.pooling}
+        prefixes = {}  # document -> sha256 state after its first key
         keys = []
         for prompt, doc in items:
             prefix = prefixes.get(doc)
             if prefix is None:
-                prefix = hashlib.sha256(b'{"document":')
-                prefix.update(canonical_dumps(doc).encode("utf-8"))
-                prefixes[doc] = prefix
+                head = canonical_dumps({"document": doc})[:-1] + ","
+                prefix = prefixes[doc] = hashlib.sha256(head.encode("utf-8"))
             digest = prefix.copy()
-            digest.update((head + canonical_dumps(prompt) + "}").encode("utf-8"))
+            digest.update(canonical_dumps({**rest, "system_prompt": prompt})[1:].encode("utf-8"))
             keys.append(digest.hexdigest())
         return keys
 
@@ -368,9 +374,9 @@ class RemoteEmbeddingProvider(_RemoteBase):
     def embed_many(self, items: Sequence[tuple[str, str]]) -> np.ndarray:
         """Embed ``(system_prompt, document)`` pairs as an (n, d) block, in order.
 
-        Each distinct item is looked up in the disk cache, if any, and the
-        call's hits are checked as one block; the misses are requested once
-        each, first occurrence first, in chunks of ``cfg.batch_size``.
+        Each distinct item is looked up in the disk cache, if any; the
+        misses are requested once each, first occurrence first, in chunks of
+        ``cfg.batch_size``.
         """
         if not items:
             return np.empty((0, self._seen_dim or 0))
@@ -379,9 +385,7 @@ class RemoteEmbeddingProvider(_RemoteBase):
         keys: dict[tuple[str, str], str] = {}
         if self._cache_dir is not None:
             keys = dict(zip(distinct, self._cache_keys(distinct)))
-            hits = {item: row for item in distinct if (row := self._cache_get(keys[item])) is not None}
-            if hits:
-                vectors = dict(zip(hits, self._block(list(hits.values()))))
+            vectors = {item: row for item in distinct if (row := self._cache_get(keys[item])) is not None}
         misses = [item for item in distinct if item not in vectors]
         step = self.cfg.batch_size
         for start in range(0, len(misses), step):
@@ -428,13 +432,26 @@ class RemoteEmbeddingProvider(_RemoteBase):
             raise EmbeddingDimensionMismatch(f"expected dim {self._seen_dim}, response has {block.shape[1]}")
         return block
 
-    def _cache_get(self, key: str) -> list | None:
-        """The row cached under ``key``, as read, or None."""
+    def _cache_get(self, key: str) -> np.ndarray | None:
+        """The row cached under ``key``, checked by ``_block``, or None if there is none.
+
+        A file that is not UTF-8 JSON holding an ``embedding`` array raises
+        GatewayError, and a row that ``_block`` refuses keeps its error's
+        type; either message starts with ``cache file <path>:``.
+        """
+        path = self._cache_dir / f"{key}.json"
         try:
-            text = (self._cache_dir / f"{key}.json").read_text(encoding="utf-8")
+            row = json_object(path.read_text(encoding="utf-8")).get("embedding")
+            if not isinstance(row, list):
+                raise ValueError("the file holds no embedding array")
         except FileNotFoundError:
             return None
-        return json.loads(text)["embedding"]
+        except (OSError, ValueError) as exc:
+            raise GatewayError(f"cache file {path}: {exc}") from exc
+        try:
+            return self._block([row])[0]
+        except (TypeError, ValueError, EmbeddingDimensionMismatch) as exc:
+            raise type(exc)(f"cache file {path}: {exc}") from exc
 
     def _cache_put(self, key: str, row: np.ndarray) -> None:
         """Cache ``row`` under ``key`` via a temp file and an atomic rename: no partial reads."""

@@ -10,6 +10,7 @@ without aborting the batch.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -246,7 +247,7 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
 
     Scripted: the script file maps paper ids to message lists ("*" is the
     fallback); each paper gets a fresh cursor.  Remote: one shared
-    provider for all papers.
+    provider for all papers, whose ``close`` the factory's ``close`` calls.
     """
     if settings.kind == "scripted":
         if not settings.script_path:
@@ -266,7 +267,12 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
         return factory
 
     provider = RemoteChatProvider(settings.remote)
-    return lambda paper_id: provider
+
+    def shared(paper_id: str) -> ChatProvider:
+        return provider
+
+    shared.close = provider.close  # run_pipeline closes what it built
+    return shared
 
 
 @dataclass(frozen=True)
@@ -331,13 +337,27 @@ def run_pipeline(
 
     Configuration problems (among them a bank and model that do not
     match) abort with ConfigError before any stage runs; per-paper stage
-    failures only mark that paper's report.
+    failures only mark that paper's report.  Providers built here from
+    ``config`` are closed on return; injected ones are left open.
     """
-    if embedding_provider is None and (config.rate.enabled or config.assess.enabled):
-        embedding_provider = build_embedding_provider(config.embedding)
-    if chat_factory is None and config.prepare.enabled:
-        chat_factory = build_chat_factory(config.chat)
+    with contextlib.ExitStack() as built:
+        if embedding_provider is None and (config.rate.enabled or config.assess.enabled):
+            embedding_provider = build_embedding_provider(config.embedding)
+            built.callback(getattr(embedding_provider, "close", lambda: None))
+        if chat_factory is None and config.prepare.enabled:
+            chat_factory = build_chat_factory(config.chat)
+            built.callback(getattr(chat_factory, "close", lambda: None))
+        return _run_stages(config, entries, embedding_provider, chat_factory, prepare_fn)
 
+
+def _run_stages(
+    config: PipelineConfig,
+    entries: Sequence[CorpusEntry],
+    embedding_provider: EmbeddingProvider | None,
+    chat_factory: Callable[[str], ChatProvider] | None,
+    prepare_fn: PrepareFn | None,
+) -> PipelineResult:
+    """:func:`run_pipeline` once its providers are in hand."""
     concept = cutoff = bank = model = None
     if config.rate.enabled:
         concept = load_artifact(ConceptVector, config.rate.concept_path)

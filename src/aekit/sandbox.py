@@ -14,6 +14,7 @@ archive).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import selectors
 import shutil
@@ -220,7 +221,8 @@ class LocalProcessSandbox:
     through :func:`_run_capped`, so a timeout kills its whole process
     group and its background children are not waited for.  Those children
     live until :meth:`close`, which kills every process group the
-    sandbox started.
+    sandbox started that still had a member when its command returned;
+    a group left empty is forgotten then.
 
     Network policy follows the host (cannot be constrained here), which
     is why this backend exists for fixtures and demos only.
@@ -233,7 +235,6 @@ class LocalProcessSandbox:
         self.spec = spec
         self.workdir = Path(tempfile.mkdtemp(prefix="aekit-sandbox-", dir=parent))
         self._open = True
-        self._snapshot_counter = 0
         self._groups: list[int] = []
 
     def _require_open(self) -> None:
@@ -245,20 +246,32 @@ class LocalProcessSandbox:
         self._require_open()
         if not command:
             raise ValueError("command must be nonempty")
-        return _run_capped(["bash", "-c", command], timeout, output_cap,
+        step = _run_capped(["bash", "-c", command], timeout, output_cap,
                            cwd=self.workdir, env=_sandbox_env(self.workdir), groups=self._groups)
+        try:
+            os.killpg(self._groups[-1], 0)
+        except ProcessLookupError:  # no member left for close() to kill
+            self._groups.pop()
+        return step
 
     def snapshot(self, paper_id: str, dest_dir: str | Path | None = None) -> str:
-        """Tar the workdir; returns the archive path as the snapshot ref."""
+        """Tar the workdir; returns the archive path as the snapshot ref.
+
+        The archive is ``prepare-<paper_id>-<n>.tar`` for the smallest
+        n >= 1 whose file does not exist yet; an existing file is never
+        overwritten.
+        """
         if not self._open:
             raise SnapshotFailure("cannot snapshot a closed sandbox")
-        self._snapshot_counter += 1
         dest = Path(dest_dir) if dest_dir is not None else self.workdir.parent
         dest.mkdir(parents=True, exist_ok=True)
-        name = f"prepare-{paper_id}-{time.time_ns()}-{self._snapshot_counter}.tar"
-        ref = dest / name
         try:
-            with tarfile.open(ref, "w") as tar:
+            for n in itertools.count(1):
+                ref = dest / f"prepare-{paper_id}-{n}.tar"
+                with contextlib.suppress(FileExistsError):
+                    out = open(ref, "xb")
+                    break
+            with out, tarfile.open(fileobj=out, mode="w") as tar:
                 for item in sorted(self.workdir.rglob("*")):
                     tar.add(item, arcname=str(item.relative_to(self.workdir)), recursive=False)
         except OSError as exc:

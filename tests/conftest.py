@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from aekit.cli import EXIT_OK, main as cli_main
 from aekit.gateway import ChatMessage, MockEmbeddingProvider, mock_embed
 
 
@@ -133,3 +135,41 @@ def prepare_scripts_path():
     from pathlib import Path
 
     return Path(__file__).parent / "data" / "prepare_scripts.json"
+
+
+def train_pipeline_assets(tmp_path, mock_corpus_path, prepare_scripts_path):
+    """Acceptance criterion 7's setup under ``tmp_path``; returns ``(corpus, config_path)``.
+
+    The mock corpus and chat scripts are copied, a pipeline config with
+    every stage on (local sandboxes under ``boxes/``) is written, and its
+    concept, cutoff, bank and model are trained through the CLI.
+    """
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mock_corpus_path, corpus)
+    scripts = tmp_path / "scripts.json"
+    shutil.copy(prepare_scripts_path, scripts)
+    config_path = tmp_path / "pipeline.ini"
+    config_path.write_text(
+        "[embedding]\nkind = mock\nseed = 11\ndim = 48\n\n"
+        f"[chat]\nkind = scripted\nscript = {scripts}\n\n"
+        f"[rate]\nenabled = true\nconcept = {tmp_path / 'concept.json'}\n"
+        f"cutoff = {tmp_path / 'cutoff.json'}\n\n"
+        f"[assess]\nenabled = true\nbank = {tmp_path / 'bank.json'}\n"
+        f"model = {tmp_path / 'model.json'}\n\n"
+        "[prepare]\nenabled = true\nbackend = local\n"
+        f"workdir = {tmp_path / 'boxes'}\nmax_iterations = 8\ncommand_timeout = 30\n\n"
+        "[pipeline]\ngate = true\nseed = 0\n"
+    )
+    for cmd in (
+        ["--config", str(config_path), "extract-concept", "--corpus", str(corpus),
+         "--n-train", "3", "--out-file", str(tmp_path / "concept.json")],
+        ["--config", str(config_path), "calibrate", "--corpus", str(corpus),
+         "--concept", str(tmp_path / "concept.json"), "--n-train", "3",
+         "--out-file", str(tmp_path / "cutoff.json")],
+        ["--config", str(config_path), "assess-train", "--corpus", str(corpus),
+         "--annotations", str(corpus / "ground_truth.csv"), "--n-train", "3",
+         "--bank-out", str(tmp_path / "bank.json"),
+         "--model-out", str(tmp_path / "model.json")],
+    ):
+        assert cli_main(cmd) == EXIT_OK
+    return corpus, config_path

@@ -6,7 +6,6 @@ themselves.
 """
 
 import json
-import shutil
 import time
 from contextlib import contextmanager
 
@@ -46,7 +45,7 @@ from aekit.prepare import (
 from aekit.rate import LABEL_NOT_RUNS, LABEL_RUNS, calibrate_cutoff
 from aekit.sandbox import BACKEND_LOCAL, SandboxSpec
 
-from conftest import done_message, fail_message, run_message
+from conftest import done_message, fail_message, run_message, train_pipeline_assets
 
 
 @contextmanager
@@ -272,42 +271,9 @@ def test_criterion_6_success_soundness_property(tmp_path):
         assert successes > 0  # the property must actually be exercised
 
 
-def _write_pipeline_config(tmp_path, corpus, scripts):
-    config = tmp_path / "pipeline.ini"
-    config.write_text(
-        "[embedding]\nkind = mock\nseed = 11\ndim = 48\n\n"
-        f"[chat]\nkind = scripted\nscript = {scripts}\n\n"
-        f"[rate]\nenabled = true\nconcept = {tmp_path / 'concept.json'}\n"
-        f"cutoff = {tmp_path / 'cutoff.json'}\n\n"
-        f"[assess]\nenabled = true\nbank = {tmp_path / 'bank.json'}\n"
-        f"model = {tmp_path / 'model.json'}\n\n"
-        "[prepare]\nenabled = true\nbackend = local\n"
-        f"workdir = {tmp_path / 'boxes'}\nmax_iterations = 8\ncommand_timeout = 30\n\n"
-        "[pipeline]\ngate = true\nseed = 0\n"
-    )
-    return config
-
-
 def test_criterion_7_end_to_end_determinism(tmp_path, mock_corpus_path, prepare_scripts_path):
     with criterion(7, "pipeline determinism and gate soundness"):
-        corpus = tmp_path / "corpus"
-        shutil.copytree(mock_corpus_path, corpus)
-        scripts = tmp_path / "scripts.json"
-        shutil.copy(prepare_scripts_path, scripts)
-        config_path = _write_pipeline_config(tmp_path, corpus, scripts)
-
-        for cmd in (
-            ["--config", str(config_path), "extract-concept", "--corpus", str(corpus),
-             "--n-train", "3", "--out-file", str(tmp_path / "concept.json")],
-            ["--config", str(config_path), "calibrate", "--corpus", str(corpus),
-             "--concept", str(tmp_path / "concept.json"), "--n-train", "3",
-             "--out-file", str(tmp_path / "cutoff.json")],
-            ["--config", str(config_path), "assess-train", "--corpus", str(corpus),
-             "--annotations", str(corpus / "ground_truth.csv"), "--n-train", "3",
-             "--bank-out", str(tmp_path / "bank.json"),
-             "--model-out", str(tmp_path / "model.json")],
-        ):
-            assert cli_main(cmd) == EXIT_OK
+        corpus, config_path = train_pipeline_assets(tmp_path, mock_corpus_path, prepare_scripts_path)
 
         outputs = []
         for run_id in (1, 2):

@@ -1,7 +1,10 @@
 import hashlib
+import http.server
 import json
+import re
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from aekit.gateway import (
     DEFAULT_BATCH_SIZE,
+    DEFAULT_MAX_IN_FLIGHT,
     AuthFailure,
     ChatMessage,
     EmbeddingDimensionMismatch,
@@ -462,7 +466,7 @@ class TestRemoteEmbeddingBatches:
 
 
 class TestBlockCheck:
-    """Each response, and each call's cache hits, is checked as one block."""
+    """Each response is checked as one block, and each cache hit as it is read."""
 
     ITEMS = [("p", "a"), ("p", "b")]
 
@@ -506,6 +510,38 @@ class TestBlockCheck:
             RemoteEmbeddingProvider(cfg, transport).embed_many(self.ITEMS)
         assert transport.requests == []
 
+    def test_each_cache_hit_is_checked_once(self, tmp_path, monkeypatch):
+        cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
+        RemoteEmbeddingProvider(cfg, VectorTransport()).embed_many(self.ITEMS)
+        checked = []
+        block = RemoteEmbeddingProvider._block
+        monkeypatch.setattr(RemoteEmbeddingProvider, "_block", lambda self, rows: checked.extend(rows) or block(self, rows))
+        RemoteEmbeddingProvider(cfg, FakeTransport([])).embed_many(self.ITEMS * 2)
+        assert len(checked) == len(self.ITEMS)
+
+    @pytest.mark.parametrize(
+        "content, error, message",
+        [
+            (b'{"embedding": [1.0', GatewayError, "the file is not valid JSON: Expecting"),
+            (b'{"embedding": [\xff]}', GatewayError, "'utf-8' codec can't decode byte 0xff"),
+            (b"[[1.0, 0.0, 0.0, 0.0]]", GatewayError, "the file is not a JSON object"),
+            (b"{}", GatewayError, "the file holds no embedding array"),
+            (b'{"embedding":[NaN,0.5,0.5,0.5]}', ValueError, "embedding contains non-finite entries"),
+            (b'{"embedding":[0.5,0.5]}', EmbeddingDimensionMismatch, "expected dim 4, response has 2"),
+        ],
+        ids=["cut", "not-utf8", "array", "no-embedding", "nan", "other-width"],
+    )
+    def test_a_damaged_cache_file_names_itself(self, tmp_path, content, error, message):
+        cfg = make_cfg(cache_dir=str(tmp_path / "cache"), embedding_dim=4)
+        RemoteEmbeddingProvider(cfg, VectorTransport()).embed_many(self.ITEMS)
+        path = sorted((tmp_path / "cache").rglob("*.json"))[0]
+        path.write_bytes(content)
+        transport = FakeTransport([])
+        with pytest.raises(error, match=f"^cache file {re.escape(str(path))}: {re.escape(message)}") as info:
+            RemoteEmbeddingProvider(cfg, transport).embed_many(self.ITEMS)
+        assert info.type is error
+        assert transport.requests == []
+
     def test_concurrent_cache_writes_leave_whole_files(self, tmp_path):
         cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
         transport = VectorTransport()
@@ -533,6 +569,110 @@ class TestBlockCheck:
         replay = FakeTransport([])
         assert RemoteEmbeddingProvider(cfg, replay).embed_many(items).tobytes() == expected.tobytes()
         assert replay.requests == []
+
+
+class LoopbackServer:
+    """An HTTP/1.1 embeddings endpoint on 127.0.0.1 that keeps connections alive.
+
+    Each input's row is ``[len(input), 1.0]``.  ``opened`` and ``closed``
+    count TCP connections on the server's side.
+    """
+
+    def __init__(self):
+        self.opened = []
+        self.closed = []
+        loopback = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                loopback.opened.append(self.client_address)
+
+            def finish(self):
+                super().finish()
+                loopback.closed.append(self.client_address)
+
+            def do_POST(self):
+                inputs = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["input"]
+                body = batch_body([[float(len(text)), 1.0] for text in inputs], range(len(inputs)))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}"
+        self.thread = threading.Thread(target=self.server.serve_forever)
+        self.thread.start()
+
+    def wait_closed(self, timeout=5.0):
+        """Whether every opened connection is closed within ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while len(self.closed) < len(self.opened):
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
+        return True
+
+    def stop(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(5.0)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = LoopbackServer()
+    yield server
+    server.stop()
+
+
+class TestDefaultTransport:
+    """Without an injected transport, a provider posts through its own ``requests.Session``."""
+
+    def test_one_connection_serves_every_request_until_close(self, loopback):
+        provider = RemoteEmbeddingProvider(make_cfg(endpoint_url=loopback.url))
+        for i in range(5):
+            assert provider.embed("sys", "d" * i).tolist() == [len("sys\n\n") + i, 1.0]
+        assert len(loopback.opened) == 1 and loopback.closed == []
+        provider.close()
+        assert loopback.wait_closed(), "the connection outlived close()"
+
+    def test_threads_sharing_a_provider_reuse_at_most_one_connection_each(self, loopback):
+        provider = RemoteEmbeddingProvider(make_cfg(endpoint_url=loopback.url))
+        docs = ["d" * i for i in range(40)]
+
+        def embed(doc):
+            return provider.embed("sys", doc).tolist() == [len("sys\n\n" + doc), 1.0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                assert all(pool.map(embed, docs))
+        finally:
+            sys.setswitchinterval(interval)
+        # Requests in flight, and so connections, are capped.
+        assert 1 <= len(loopback.opened) <= DEFAULT_MAX_IN_FLIGHT
+        provider.close()
+        assert loopback.wait_closed(), "a connection outlived close()"
+
+    def test_an_injected_transport_needs_no_requests(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # importing it raises ImportError
+        for cls in (RemoteChatProvider, RemoteEmbeddingProvider):
+            cls(make_cfg(), FakeTransport([])).close()
+        with pytest.raises(ImportError):
+            RemoteEmbeddingProvider(make_cfg())
 
 
 class TestRemoteChat:

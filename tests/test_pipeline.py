@@ -1,12 +1,17 @@
 import json
+import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aekit import pipeline
 from aekit.assess import AssessorModel, PitfallBank, PitfallBankEntry, PitfallClassifier, STATUS_SKIPPED
+from aekit.cli import EXIT_OK, main as cli_main
 from aekit.corpus import CorpusEntry, GroundTruthRecord
-from aekit.gateway import ChatMessage, ProviderConfig, ScriptedChatProvider
+from aekit.gateway import ChatMessage, ProviderConfig, RemoteChatProvider, ScriptedChatProvider
+from aekit.jsonio import canonical_dumps
 from aekit.measure import ConceptVector
 from aekit.pipeline import (
     AssessSettings,
@@ -30,7 +35,7 @@ from aekit.prepare import AgentTranscript, OUTCOME_SUCCESS, PrepareLimits, Prepa
 from aekit.rate import Cutoff
 from aekit.sandbox import SandboxSpec
 
-from conftest import CountingMockProvider, done_message, run_message
+from conftest import CountingMockProvider, done_message, run_message, train_pipeline_assets
 
 
 class MarkerProvider:
@@ -444,3 +449,74 @@ class TestConfigFile:
                                 gpu=True, workdir="/boxes"),
             limits=PrepareLimits(max_iterations=9, command_timeout=45.5, output_cap=1024),
         )
+
+
+class TestReruns:
+    def test_clean_reruns_write_the_same_transcripts(self, tmp_path, mock_corpus_path, prepare_scripts_path):
+        # Snapshot names do not depend on the clock; only durations are wall time.
+        corpus, config_path = train_pipeline_assets(tmp_path, mock_corpus_path, prepare_scripts_path)
+        runs = []
+        for _ in range(2):
+            shutil.rmtree(tmp_path / "boxes", ignore_errors=True)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            argv = ["--config", str(config_path), "--out", str(tmp_path / "out"), "pipeline", "--corpus", str(corpus)]
+            assert cli_main(argv) == EXIT_OK
+            transcripts = {}
+            for path in sorted((tmp_path / "out" / "transcripts").glob("*.json")):
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                for step in doc["transcript"]["steps"]:
+                    step["duration"] = 0.0
+                transcripts[path.name] = canonical_dumps(doc)
+            runs.append(transcripts)
+        assert runs[0] and runs[0] == runs[1]
+        refs = [json.loads(text)["snapshot_ref"] for text in runs[0].values()]
+        assert any(ref is not None and os.path.isfile(ref) for ref in refs), "no paper was snapshotted"
+
+
+class ClosingMarkerProvider(MarkerProvider):
+    def __init__(self, closed, *args):
+        super().__init__(*args)
+        self.closed = closed
+
+    def close(self):
+        self.closed.append(self)
+
+
+class TestOwnedProviders:
+    """run_pipeline closes the providers it builds from its config, and no others."""
+
+    def test_built_providers_are_closed_and_injected_ones_are_not(self, tmp_path, monkeypatch):
+        config, entries, provider = gate_fixture(tmp_path)
+        remote = ProviderConfig("http://fake.test", "m")
+        config = replace(config, chat=ChatSettings(kind="remote", remote=remote))
+        closed = []
+        monkeypatch.setattr(RemoteChatProvider, "close", lambda self: closed.append(self))
+        built = ClosingMarkerProvider(closed, provider.dim, provider.markers)
+        monkeypatch.setattr(pipeline, "build_embedding_provider", lambda settings: built)
+        chats = []
+
+        def prepare_fn(bundle, chat):
+            chats.append(chat)
+            return recording_prepare_fn([])(bundle, chat)
+
+        run_pipeline(config, entries, prepare_fn=prepare_fn)
+        (chat,) = set(chats)
+        assert isinstance(chat, RemoteChatProvider)
+        assert closed == [chat, built]
+
+        closed.clear()
+        injected = ClosingMarkerProvider(closed, provider.dim, provider.markers)
+        run_pipeline(config, entries, embedding_provider=injected, chat_factory=lambda pid: chat,
+                     prepare_fn=prepare_fn)
+        assert closed == []
+
+    def test_built_providers_are_closed_when_a_stage_cannot_start(self, tmp_path, monkeypatch):
+        config, entries, provider = gate_fixture(tmp_path)
+        (tmp_path / "bad.json").write_text("{")
+        config = replace(config, rate=replace(config.rate, cutoff_path=str(tmp_path / "bad.json")))
+        closed = []
+        built = ClosingMarkerProvider(closed, provider.dim, provider.markers)
+        monkeypatch.setattr(pipeline, "build_embedding_provider", lambda settings: built)
+        with pytest.raises(ConfigError):
+            run_pipeline(config, entries, chat_factory=lambda pid: None, prepare_fn=recording_prepare_fn([]))
+        assert closed == [built]

@@ -144,6 +144,29 @@ class TestLocalSandbox:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(child, signal.SIGKILL)
 
+    def test_a_command_that_leaves_no_process_leaves_no_group(self, sandbox):
+        sandbox.run("true", 10, 1024)
+        sandbox.run("sleep 0.01 & wait", 10, 1024)
+        assert sandbox._groups == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_a_group_with_a_live_member_is_kept_for_close(self, tmp_path):
+        box = open_sandbox(SandboxSpec(backend=BACKEND_LOCAL, workdir=str(tmp_path)))
+        child = None
+        try:
+            child = int(box.run("sleep 30 & echo $!", 10, 1024).stdout_tail)
+            assert box._groups == [os.getpgid(child)]
+            box.close()
+            deadline = time.monotonic() + 5.0
+            while _running(child):
+                assert time.monotonic() < deadline, "a background child outlived close()"
+                time.sleep(0.01)
+        finally:
+            box.close()
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
+
     def test_commands_run_in_workdir(self, sandbox):
         step = sandbox.run("pwd", 10, 1024)
         assert step.stdout_tail.strip() == str(sandbox.workdir)
@@ -231,6 +254,20 @@ class TestLocalSnapshot:
     def test_repeated_snapshots_have_distinct_refs(self, sandbox, tmp_path):
         refs = {sandbox.snapshot("paperX", tmp_path / "s") for _ in range(3)}
         assert len(refs) == 3
+
+    def test_snapshots_of_one_paper_are_numbered_from_one(self, sandbox, tmp_path):
+        refs = [sandbox.snapshot("paperX", tmp_path / "s") for _ in range(2)]
+        assert refs == [str(tmp_path / "s" / f"prepare-paperX-{n}.tar") for n in (1, 2)]
+
+    def test_an_existing_archive_is_never_overwritten(self, sandbox, tmp_path):
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "prepare-paperX-1.tar").write_bytes(b"kept")
+        sandbox.run("printf new > f", 10, 1024)
+        ref = sandbox.snapshot("paperX", tmp_path / "s")
+        assert ref == str(tmp_path / "s" / "prepare-paperX-2.tar")
+        assert (tmp_path / "s" / "prepare-paperX-1.tar").read_bytes() == b"kept"
+        with tarfile.open(ref) as tar:
+            assert tar.extractfile("f").read() == b"new"
 
     def test_ref_embeds_paper_id(self, sandbox, tmp_path):
         ref = sandbox.snapshot("paper-42", tmp_path / "s")
