@@ -52,6 +52,7 @@ from .pipeline import (
     PipelineConfig,
     build_chat_factory,
     build_embedding_provider,
+    closing_built,
     load_pipeline_config,
     render_report,
     run_pipeline,
@@ -122,11 +123,11 @@ def _train_entries(corpus_dir: str, stage: str, n_train: int, seed: int, minimum
 
 def _cmd_extract_concept(args) -> int:
     config = _load_config(args)
-    provider = build_embedding_provider(config.embedding)
-    train = _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, MIN_PROBES)
-    prompts = load_artifact(PromptPair, args.prompts) if args.prompts else load_default_rate_prompts()
-    probes = ProbeSet(tuple(compose_rate_document(i) for i in _rate_inputs(train)))
-    concept = extract_concept_vector(probes, prompts, provider)
+    with closing_built(build_embedding_provider(config.embedding)) as provider:
+        train = _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, MIN_PROBES)
+        prompts = load_artifact(PromptPair, args.prompts) if args.prompts else load_default_rate_prompts()
+        probes = ProbeSet(tuple(compose_rate_document(i) for i in _rate_inputs(train)))
+        concept = extract_concept_vector(probes, prompts, provider)
     write_text(args.out_file, concept.to_json())
     print(f"concept vector ({concept.dim} dims, {probes.count} probes) -> {args.out_file}")
     return EXIT_OK
@@ -134,16 +135,16 @@ def _cmd_extract_concept(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
-    provider = build_embedding_provider(config.embedding)
-    concept = load_artifact(ConceptVector, args.concept)
-    neutral = load_default_rate_prompts().neutral
-    # A cutoff is calibrated on at least two papers, one of each label.
-    train = [
-        e for e in _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, 2)
-        if e.ground_truth is not None and e.ground_truth.manually_runnable is not None
-    ]
-    docs = [compose_rate_document(i) for i in _rate_inputs(train)]
-    scores = score_documents(provider, neutral, docs, concept).tolist()
+    with closing_built(build_embedding_provider(config.embedding)) as provider:
+        concept = load_artifact(ConceptVector, args.concept)
+        neutral = load_default_rate_prompts().neutral
+        # A cutoff is calibrated on at least two papers, one of each label.
+        train = [
+            e for e in _train_entries(args.corpus, STAGE_RATE, args.n_train, config.seed, 2)
+            if e.ground_truth is not None and e.ground_truth.manually_runnable is not None
+        ]
+        docs = [compose_rate_document(i) for i in _rate_inputs(train)]
+        scores = score_documents(provider, neutral, docs, concept).tolist()
     labels = [LABEL_RUNS if e.ground_truth.manually_runnable else LABEL_NOT_RUNS for e in train]
     cutoff = calibrate_cutoff(scores, labels)
     write_text(args.out_file, cutoff.to_json())
@@ -158,12 +159,12 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_rate(args) -> int:
     config = _load_config(args)
-    provider = build_embedding_provider(config.embedding)
-    concept = load_artifact(ConceptVector, args.concept)
-    cutoff = load_artifact(Cutoff, args.cutoff)
-    entries = [e for e in _load_corpus(args.corpus).entries if wants_rating(e)]
-    inputs = _rate_inputs(sorted(entries, key=lambda e: e.paper_id))
-    verdicts = rate_documents(inputs, concept, cutoff, provider)
+    with closing_built(build_embedding_provider(config.embedding)) as provider:
+        concept = load_artifact(ConceptVector, args.concept)
+        cutoff = load_artifact(Cutoff, args.cutoff)
+        entries = [e for e in _load_corpus(args.corpus).entries if wants_rating(e)]
+        inputs = _rate_inputs(sorted(entries, key=lambda e: e.paper_id))
+        verdicts = rate_documents(inputs, concept, cutoff, provider)
     write_text(args.out_file, dumps_jsonl(v.to_dict() for v in verdicts))
     print(f"rated {len(verdicts)} papers -> {args.out_file}")
     return EXIT_OK
@@ -180,9 +181,10 @@ def _cmd_prepare(args) -> int:
 
     spec = config.prepare.sandbox
     if args.backend is not None:
-        spec = dataclasses.replace(spec, backend=args.backend)
-    chat = build_chat_factory(config.chat)(bundle.paper_id)
-    outcome = run_prepare_loop(bundle, spec, chat, config.prepare.limits)
+        with checked_input(f"--backend {args.backend}"):
+            spec = dataclasses.replace(spec, backend=args.backend)
+    with closing_built(build_chat_factory(config.chat)) as chat_factory:
+        outcome = run_prepare_loop(bundle, spec, chat_factory(bundle.paper_id), config.prepare.limits)
     write_text(args.out_file, outcome.to_json())
     print(f"prepare outcome: {outcome.status} ({len(outcome.transcript.steps)} steps) -> {args.out_file}")
     return EXIT_OK
@@ -190,17 +192,17 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_assess_train(args) -> int:
     config = _load_config(args)
-    provider = build_embedding_provider(config.embedding)
-    train = _train_entries(args.corpus, STAGE_ASSESS, args.n_train, config.seed, MIN_PROBES)
-    annotations = load_ground_truth(Path(args.annotations))
+    with closing_built(build_embedding_provider(config.embedding)) as provider:
+        train = _train_entries(args.corpus, STAGE_ASSESS, args.n_train, config.seed, MIN_PROBES)
+        annotations = load_ground_truth(Path(args.annotations))
 
-    specs = load_pitfall_specs(args.pitfalls)
-    probes = ProbeSet(tuple(e.paper_text for e in train))
-    bank = build_pitfall_bank(specs, probes, provider)
-    features = [
-        featurize(e.paper_text, bank, provider, paper_id=e.paper_id)
-        for e in sorted(train, key=lambda e: e.paper_id)
-    ]
+        specs = load_pitfall_specs(args.pitfalls)
+        probes = ProbeSet(tuple(e.paper_text for e in train))
+        bank = build_pitfall_bank(specs, probes, provider)
+        features = [
+            featurize(e.paper_text, bank, provider, paper_id=e.paper_id)
+            for e in sorted(train, key=lambda e: e.paper_id)
+        ]
     pitfall_annotations = {
         pid: rec.pitfalls for pid, rec in annotations.items()
     }
@@ -223,16 +225,16 @@ def _cmd_assess_train(args) -> int:
 
 def _cmd_assess(args) -> int:
     config = _load_config(args)
-    provider = build_embedding_provider(config.embedding)
-    bank = load_artifact(PitfallBank, args.bank)
-    model = load_artifact(AssessorModel, args.model)
-    entries = sorted(_load_corpus(args.corpus).entries, key=lambda e: e.paper_id)
-    try:
-        reports = assess_documents(
-            [(e.paper_id, e.paper_text) for e in entries], bank, model, provider
-        )
-    except AlignmentMismatch as exc:
-        raise ConfigError(f"--bank {args.bank} and --model {args.model}: {exc}") from exc
+    with closing_built(build_embedding_provider(config.embedding)) as provider:
+        bank = load_artifact(PitfallBank, args.bank)
+        model = load_artifact(AssessorModel, args.model)
+        entries = sorted(_load_corpus(args.corpus).entries, key=lambda e: e.paper_id)
+        try:
+            reports = assess_documents(
+                [(e.paper_id, e.paper_text) for e in entries], bank, model, provider
+            )
+        except AlignmentMismatch as exc:
+            raise ConfigError(f"--bank {args.bank} and --model {args.model}: {exc}") from exc
     write_text(args.out_file, dumps_jsonl(r.to_dict() for r in reports))
     print(f"assessed {len(reports)} papers -> {args.out_file}")
     return EXIT_OK

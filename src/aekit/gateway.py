@@ -13,8 +13,8 @@ until ``close()``.  Remote embeddings are requested in batches, each
 distinct item once per call.  With a cache directory configured they
 are also cached on disk as ``<cache_dir>/<provider_id>/<sha256>.json``,
 named by a content digest, so probing the same text twice costs one
-request; without one, no vector outlives its call.  Each response is
-converted and checked as one block, and each cache hit as it is read.
+request; without one, no vector outlives its call.  Every row, from a
+response or a cache file, is read by the artifact codec as one ``_Row``.
 Both embedding providers JSON-encode each distinct document once per
 ``embed_many`` call, however many prompts it is embedded under.  The mock
 also reuses the previous call's encodings, so the pitfall bank's
@@ -36,8 +36,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .jsonio import Artifact, canonical_dumps, json_object
-from .measure import _as_block
+from .jsonio import Artifact, _decode_at, canonical_dumps, json_object
 
 CHAT_ROLES = ("system", "user", "assistant", "tool")
 
@@ -77,6 +76,17 @@ class ChatMessage(Artifact):
             raise ValueError(f"unknown chat role: {self.role!r}")
         if self.role in ("user", "assistant") and not self.content:
             raise ValueError(f"{self.role} message content must be nonempty")
+
+
+@dataclass(frozen=True)
+class _Row(Artifact):
+    """One embedding row, as a response item and as a cache file hold it."""
+
+    embedding: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.embedding.size:
+            raise ValueError("the row is empty")
 
 
 @dataclass(frozen=True)
@@ -397,60 +407,49 @@ class RemoteEmbeddingProvider(_RemoteBase):
         return np.array([vectors[item] for item in items])
 
     def _fetch(self, inputs: list[str]) -> np.ndarray:
-        """One request for ``inputs``: its rows, placed by each response item's index, as one block."""
+        """One request for ``inputs``: its rows, placed by each response item's index, as one block.
+
+        A row the codec refuses names itself, as in ``data[1].embedding[0]: expected float, got str``.
+        """
         doc = self._request("/v1/embeddings", {"model": self.cfg.model_name, "input": inputs})
         try:
             data = doc["data"]
             indexes = [item.get("index", pos) for pos, item in enumerate(data)]
-            values = [item["embedding"] for item in data]
         except (KeyError, TypeError, AttributeError) as exc:
-            raise GatewayError(f"embedding missing from response: {exc}") from exc
+            raise GatewayError(f"malformed embeddings response: {exc}") from exc
         if any(type(i) is not int for i in indexes) or sorted(indexes) != list(range(len(inputs))):
             raise GatewayError(
                 f"response indexes {indexes} do not cover inputs 0..{len(inputs) - 1} once each"
             )
-        by_index = dict(zip(indexes, values))
-        return self._block([by_index[i] for i in range(len(inputs))])
+        by_index = dict(zip(indexes, _decode_at("data", tuple[_Row, ...], data)))
+        return self._block([by_index[i].embedding for i in range(len(inputs))])
 
-    def _block(self, rows: list) -> np.ndarray:
-        """``rows`` as one (k, d) float64 block, converted and checked once.
-
-        The rows must be finite and nonempty (``measure._as_block``) and of
-        the configuration's one width: ``cfg.embedding_dim``, else the
-        first width this provider saw.
-        """
-        try:
-            block = _as_block(np.asarray(rows, dtype=np.float64))
-        except ValueError:
-            if len(rows) > 1:  # not one block: the first row that fails alone names the fault
-                for row in rows:
-                    self._block([row])
-            raise
-        if self._seen_dim is None:
-            self._seen_dim = block.shape[1]
-        if block.shape[1] != self._seen_dim:
-            raise EmbeddingDimensionMismatch(f"expected dim {self._seen_dim}, response has {block.shape[1]}")
-        return block
+    def _block(self, rows: list[np.ndarray]) -> np.ndarray:
+        """Checked rows as one (k, d) block, of width ``cfg.embedding_dim``, else the first width seen."""
+        for row in rows:
+            self._seen_dim = self._seen_dim or row.size
+            if row.size != self._seen_dim:
+                raise EmbeddingDimensionMismatch(f"expected dim {self._seen_dim}, response has {row.size}")
+        return np.stack(rows)
 
     def _cache_get(self, key: str) -> np.ndarray | None:
-        """The row cached under ``key``, checked by ``_block``, or None if there is none.
+        """The row cached under ``key``, checked, or None if there is none.
 
-        A file that is not UTF-8 JSON holding an ``embedding`` array raises
-        GatewayError, and a row that ``_block`` refuses keeps its error's
-        type; either message starts with ``cache file <path>:``.
+        A file that is not a UTF-8 JSON object holding a row raises GatewayError, a
+        refused row keeps its error's type, and each message starts ``cache file <path>:``.
         """
         path = self._cache_dir / f"{key}.json"
         try:
-            row = json_object(path.read_text(encoding="utf-8")).get("embedding")
-            if not isinstance(row, list):
-                raise ValueError("the file holds no embedding array")
+            doc = json_object(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:
             raise GatewayError(f"cache file {path}: {exc}") from exc
         try:
-            return self._block([row])[0]
-        except (TypeError, ValueError, EmbeddingDimensionMismatch) as exc:
+            return self._block([_Row.from_dict(doc).embedding])[0]
+        except KeyError as exc:
+            raise GatewayError(f"cache file {path}: missing field {exc}") from exc
+        except (ValueError, EmbeddingDimensionMismatch) as exc:
             raise type(exc)(f"cache file {path}: {exc}") from exc
 
     def _cache_put(self, key: str, row: np.ndarray) -> None:
@@ -458,7 +457,7 @@ class RemoteEmbeddingProvider(_RemoteBase):
         path = self._cache_dir / f"{key}.json"
         with self._cache_lock:
             tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-            tmp.write_text(canonical_dumps({"embedding": row.tolist()}), encoding="utf-8")
+            tmp.write_text(_Row(row).to_json(), encoding="utf-8")
             os.replace(tmp, path)
 
 

@@ -275,6 +275,15 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
     return shared
 
 
+@contextlib.contextmanager
+def closing_built(provider):
+    """``provider`` for the block, closed after it if it has a ``close`` (mocks and scripts have none)."""
+    try:
+        yield provider
+    finally:
+        getattr(provider, "close", lambda: None)()
+
+
 @dataclass(frozen=True)
 class PrepareSummary(Artifact):
     """Deterministic digest of a prepare run for the batch report.
@@ -343,10 +352,10 @@ def run_pipeline(
     with contextlib.ExitStack() as built:
         if embedding_provider is None and (config.rate.enabled or config.assess.enabled):
             embedding_provider = build_embedding_provider(config.embedding)
-            built.callback(getattr(embedding_provider, "close", lambda: None))
+            built.enter_context(closing_built(embedding_provider))
         if chat_factory is None and config.prepare.enabled:
             chat_factory = build_chat_factory(config.chat)
-            built.callback(getattr(chat_factory, "close", lambda: None))
+            built.enter_context(closing_built(chat_factory))
         return _run_stages(config, entries, embedding_provider, chat_factory, prepare_fn)
 
 

@@ -71,6 +71,8 @@ class SandboxSpec:
             raise ValueError(f"unknown backend: {self.backend!r}")
         if self.network not in ("allowed", "denied"):
             raise ValueError(f"network must be allowed or denied, got {self.network!r}")
+        if self.network == "denied" and self.backend == BACKEND_LOCAL:
+            raise ValueError("network = denied needs backend = container")
 
 
 @dataclass(frozen=True)
@@ -224,8 +226,9 @@ class LocalProcessSandbox:
     sandbox started that still had a member when its command returned;
     a group left empty is forgotten then.
 
-    Network policy follows the host (cannot be constrained here), which
-    is why this backend exists for fixtures and demos only.
+    Network policy follows the host (cannot be constrained here, so a
+    spec with ``network = denied`` is refused), which is why this backend
+    exists for fixtures and demos only.
     """
 
     def __init__(self, spec: SandboxSpec):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import shutil
@@ -7,7 +8,8 @@ import pytest
 
 from aekit import cli
 from aekit.cli import EXIT_CONFIG, EXIT_OK, main
-from aekit.gateway import ProviderConfig, RemoteEmbeddingProvider
+from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
+from aekit.pipeline import build_chat_factory
 from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
 
 from conftest import DELETE, VectorTransport, edited
@@ -245,6 +247,71 @@ class TestPrepareCommand:
         assert backends == ["container", "local_process"]
 
 
+    def test_local_backend_flag_over_a_denied_network_exits_2(self, workspace, capsys):
+        tmp_path, corpus, config = workspace
+        config.write_text(config.read_text().replace("backend = local\n", "backend = container\nnetwork = denied\n"))
+        out_file = tmp_path / "x.json"
+        assert run_cli(
+            "--config", config, "prepare", "--bundle", corpus / "p001", "--backend", "local",
+            "--out-file", out_file,
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: --backend local: network = denied needs backend = container\n"
+        )
+        assert not out_file.exists()
+
+
+class TestCommandsCloseTheProvidersTheyBuild:
+    @pytest.mark.parametrize(
+        "command, code",
+        [("extract-concept", EXIT_OK), ("calibrate", EXIT_OK), ("rate", EXIT_OK), ("assess-train", EXIT_OK),
+         ("assess", EXIT_OK), ("extract-concept --n-train 1", EXIT_CONFIG)],
+    )
+    def test_each_embedding_command_closes_its_provider_once(self, trained, tmp_path, monkeypatch, command, code):
+        root, corpus, config = trained
+        closed = []
+
+        class ClosingMock(MockEmbeddingProvider):
+            def close(self):
+                closed.append(self)
+
+        monkeypatch.setattr(cli, "build_embedding_provider", lambda settings: ClosingMock(settings.seed, settings.dim))
+        out = tmp_path / "out.json"
+        if command == "assess-train":
+            argv = ["assess-train", "--corpus", corpus, "--annotations", corpus / "ground_truth.csv",
+                    "--n-train", "3", "--bank-out", tmp_path / "bank.json", "--model-out", tmp_path / "model.json"]
+        else:
+            name, *extra = command.split()
+            argv = stage_argv(name, root, corpus, out) + extra
+        assert run_cli("--config", config, *argv) == code
+        assert len(closed) == 1
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "error"])
+    def test_prepare_closes_its_chat_factory_once(self, workspace, monkeypatch, fails):
+        tmp_path, corpus, config = workspace
+        closed = []
+
+        def closing_factory(settings):
+            factory = build_chat_factory(settings)
+
+            def shared(paper_id):
+                return factory(paper_id)
+
+            shared.close = lambda: closed.append(settings)
+            return shared
+
+        def failing_loop(bundle, spec, chat, limits):
+            raise RuntimeError("loop failed")
+
+        monkeypatch.setattr(cli, "build_chat_factory", closing_factory)
+        if fails:
+            monkeypatch.setattr(cli, "run_prepare_loop", failing_loop)
+        argv = ["--config", config, "prepare", "--bundle", corpus / "p001", "--out-file", tmp_path / "x.json"]
+        with pytest.raises(RuntimeError, match="loop failed") if fails else contextlib.nullcontext():
+            assert run_cli(*argv) == EXIT_OK
+        assert len(closed) == 1
+
+
 class TestConfigErrors:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli(
@@ -313,12 +380,14 @@ class TestConfigErrors:
              "embedding", "timeout must be finite and positive, got nan"),
             ("[chat]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\ntimeout = inf\n", "chat",
              "timeout must be finite and positive, got inf"),
+            ("[prepare]\nbackend = local\nnetwork = denied\n", "prepare",
+             "network = denied needs backend = container"),
         ],
         ids=["section", "embedding", "chat", "rate", "assess", "prepare", "pipeline", "kind-in-rate",
              "embedding-mock-endpoint", "chat-remote-batch-size", "chat-remote-embedding-dim",
              "chat-remote-pooling", "chat-remote-cache-dir", "embedding-kind",
              "prepare-command-timeout-inf", "prepare-command-timeout-nan", "prepare-command-timeout-zero",
-             "embedding-dim-zero", "embedding-timeout-nan", "chat-timeout-inf"],
+             "embedding-dim-zero", "embedding-timeout-nan", "chat-timeout-inf", "local-network-denied"],
     )
     def test_unknown_config_section_or_key_exits_2(
         self, tmp_path, mock_corpus_path, capsys, content, section, message

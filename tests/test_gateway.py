@@ -26,7 +26,7 @@ from aekit.gateway import (
     ScriptedChatProvider,
     mock_embed,
 )
-from aekit.jsonio import canonical_dumps
+from aekit.jsonio import FieldError, canonical_dumps
 from aekit.pipeline import ConfigError, load_pipeline_config
 
 from conftest import VectorTransport, document_encodings
@@ -466,24 +466,68 @@ class TestRemoteEmbeddingBatches:
 
 
 class TestBlockCheck:
-    """Each response is checked as one block, and each cache hit as it is read."""
+    """Every row, from a response or a cache file, is read by the artifact codec."""
 
     ITEMS = [("p", "a"), ("p", "b")]
 
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ([[1.0, 0.0], [float("nan"), 0.0]], "embedding contains non-finite entries"),
-            ([[1.0, 0.0], [1.0, "x"]], "could not convert string to float"),
-            ([[], []], r"embedding must be a nonempty 1-D vector, got shape \(0,\)"),
-            ([[1.0, 0.0], []], r"embedding must be a nonempty 1-D vector, got shape \(0,\)"),
+            ([[1.0, 0.0], [float("nan"), 0.0]], "data[1].embedding[0]: expected a finite float, got nan"),
+            ([[1.0, 0.0], [1.0, "x"]], "data[1].embedding[1]: expected float, got str"),
+            ([[], []], "data[0]: the row is empty"),
+            ([[1.0, 0.0], []], "data[1]: the row is empty"),
+            ([[1.0, 0.0], ["0.5", True]], "data[1].embedding[0]: expected float, got str"),
+            ([[1.0, 0.0], [0.5, True]], "data[1].embedding[1]: expected float, got bool"),
+            ([[1.0, 0.0], [[0.5], [1.0]]], "data[1].embedding[0]: expected float, got array"),
+            ([[1.0, 0.0], None], "data[1].embedding: expected array, got null"),
         ],
-        ids=["nan", "string", "no-entries", "one-row-without-entries"],
+        ids=["nan", "string", "no-entries", "one-row-without-entries", "numeric-string", "bool", "nested",
+             "null"],
     )
     def test_a_bad_response_row_raises_value_error(self, rows, message):
-        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, batch_body(rows, [0, 1]))]))
-        with pytest.raises(ValueError, match=message):
+        transport = FakeTransport([(200, batch_body(rows, [0, 1]))])
+        provider = RemoteEmbeddingProvider(make_cfg(), transport)
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
             provider.embed_many(self.ITEMS)
+        assert len(transport.requests) == 1
+
+    def test_a_response_item_without_a_row_names_it(self):
+        body = json.dumps({"data": [{"index": 0, "embedding": [1.0]}, {"index": 1}]}).encode()
+        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, body)]))
+        with pytest.raises(FieldError, match=r"^data\[1\]: missing field 'embedding'$"):
+            provider.embed_many(self.ITEMS)
+
+    @pytest.mark.parametrize(
+        "doc", [[], {}, {"data": 5}, {"data": "ab"}, {"data": [[1.0], [0.0]]}, {"data": {"0": {}, "1": {}}}],
+        ids=["array", "no-data", "number", "string", "arrays", "object"],
+    )
+    def test_a_malformed_response_shape_raises_gateway_error(self, doc):
+        provider = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, json.dumps(doc).encode())]))
+        with pytest.raises(GatewayError) as info:
+            provider.embed_many(self.ITEMS)
+        assert info.type is GatewayError
+
+    def test_valid_rows_keep_their_bits(self):
+        rows = [[1, -0.0, 5e-324, 0.1], [-3, 2.2250738585072014e-308, 1e308, -7.5]]
+        block = RemoteEmbeddingProvider(make_cfg(), FakeTransport([(200, batch_body(rows, [0, 1]))])).embed_many(
+            self.ITEMS
+        )
+        expected = np.array(rows, dtype=np.float64)
+        assert block.dtype == np.float64
+        assert block.tobytes() == expected.tobytes()
+        assert np.signbit(block[0, 1])
+
+    @pytest.mark.parametrize("bad_row", [[float("nan"), 0.0], ["0.5", True]], ids=["nan", "numeric-string"])
+    def test_a_bad_response_caches_nothing(self, tmp_path, bad_row):
+        cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
+        body = batch_body([[1.0, 0.0], bad_row], [0, 1])
+        with pytest.raises(ValueError):
+            RemoteEmbeddingProvider(cfg, FakeTransport([(200, body)])).embed_many(self.ITEMS)
+        assert list((tmp_path / "cache").rglob("*")) == [tmp_path / "cache" / "test-model+mean"]
+        transport = VectorTransport(dim=2)
+        RemoteEmbeddingProvider(cfg, transport).embed_many(self.ITEMS)
+        assert transport.requests == [["p\n\na", "p\n\nb"]]
 
     def test_ragged_rows_name_the_first_other_width(self):
         body = batch_body([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0]], [0, 1, 2])
@@ -506,7 +550,7 @@ class TestBlockCheck:
         path = sorted((tmp_path / "cache").rglob("*.json"))[0]
         path.write_text('{"embedding":[NaN,0.5,0.5,0.5]}')
         transport = FakeTransport([])
-        with pytest.raises(ValueError, match="embedding contains non-finite entries"):
+        with pytest.raises(ValueError, match=re.escape("embedding[0]: expected a finite float, got nan")):
             RemoteEmbeddingProvider(cfg, transport).embed_many(self.ITEMS)
         assert transport.requests == []
 
@@ -525,11 +569,14 @@ class TestBlockCheck:
             (b'{"embedding": [1.0', GatewayError, "the file is not valid JSON: Expecting"),
             (b'{"embedding": [\xff]}', GatewayError, "'utf-8' codec can't decode byte 0xff"),
             (b"[[1.0, 0.0, 0.0, 0.0]]", GatewayError, "the file is not a JSON object"),
-            (b"{}", GatewayError, "the file holds no embedding array"),
-            (b'{"embedding":[NaN,0.5,0.5,0.5]}', ValueError, "embedding contains non-finite entries"),
+            (b"{}", GatewayError, "missing field 'embedding'"),
+            (b'{"embedding":[NaN,0.5,0.5,0.5]}', FieldError, "embedding[0]: expected a finite float, got nan"),
+            (b'{"embedding":[]}', ValueError, "the row is empty"),
+            (b'{"embedding":["0.5",true,0.5,0.5]}', FieldError, "embedding[0]: expected float, got str"),
+            (b'{"embedding":[0.5,true,0.5,0.5]}', FieldError, "embedding[1]: expected float, got bool"),
             (b'{"embedding":[0.5,0.5]}', EmbeddingDimensionMismatch, "expected dim 4, response has 2"),
         ],
-        ids=["cut", "not-utf8", "array", "no-embedding", "nan", "other-width"],
+        ids=["cut", "not-utf8", "array", "no-embedding", "nan", "empty", "numeric-string", "bool", "other-width"],
     )
     def test_a_damaged_cache_file_names_itself(self, tmp_path, content, error, message):
         cfg = make_cfg(cache_dir=str(tmp_path / "cache"), embedding_dim=4)

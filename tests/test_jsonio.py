@@ -17,7 +17,7 @@ from aekit.assess import (
     PitfallFinding,
     PitfallReport,
 )
-from aekit.gateway import ChatMessage
+from aekit.gateway import ChatMessage, _Row
 from aekit.jsonio import Artifact, FieldError
 from aekit.measure import ConceptVector, PromptPair
 from aekit.metrics import MetricSet
@@ -81,6 +81,8 @@ def sample_artifacts() -> dict:
             "p1", 3, "not_runs", rate=verdict, prepare=summary, assess=report, errors=("x",),
         ),
         MetricSet: MetricSet(0.5, None, 1.0, 0.25, 0.125),
+        # One entry, since a dataclass compares an ndarray field by its truth value.
+        _Row: _Row(np.array([-0.0])),
     }
 
 

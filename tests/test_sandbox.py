@@ -481,6 +481,12 @@ class TestSandboxSpec:
         with pytest.raises(ValueError):
             SandboxSpec(backend="vm")
 
+    @pytest.mark.parametrize("backend", ["local", BACKEND_LOCAL])
+    def test_the_local_backend_refuses_to_deny_the_network(self, backend):
+        with pytest.raises(ValueError, match="^network = denied needs backend = container$"):
+            SandboxSpec(backend=backend, network="denied")
+        assert SandboxSpec(backend=BACKEND_CONTAINER, network="denied").network == "denied"
+
     def test_default_base_image_is_cuda_ubuntu(self):
         spec = SandboxSpec()
         assert "cuda" in spec.base_image and "ubuntu22.04" in spec.base_image
