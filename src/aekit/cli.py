@@ -10,7 +10,7 @@ the --config INI and an unknown label in --predictions count), an
 an --annotations file that lacks a training paper, a --bank and --model
 that do not match and a paper annotated with a readme that has no
 readme.txt.  A corpus directory that cannot be loaded is skipped and
-named on stderr.
+named on stderr; a pipeline corpus left with no paper exits 2.
 """
 
 from __future__ import annotations
@@ -243,6 +243,8 @@ def _cmd_assess(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     loaded = _load_corpus(args.corpus)
+    if not loaded.entries:
+        raise ConfigError(f"corpus {args.corpus} has no paper to run")
     result = run_pipeline(config, loaded.entries)
 
     out_dir = Path(config.out_dir)

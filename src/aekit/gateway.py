@@ -78,7 +78,7 @@ class ChatMessage(Artifact):
             raise ValueError(f"{self.role} message content must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Row(Artifact):
     """One embedding row, as a response item and as a cache file hold it."""
 
@@ -483,6 +483,7 @@ class RemoteChatProvider(_RemoteBase):
             content = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"chat completion missing from response: {exc}") from exc
-        if not content:
-            raise GatewayError("provider returned an empty assistant message")
-        return ChatMessage(role="assistant", content=content)
+        try:
+            return ChatMessage.from_dict({"role": "assistant", "content": content})
+        except ValueError as exc:  # not a nonempty string; a FieldError names its JSON type
+            raise GatewayError(f"provider returned an unusable assistant message: {exc}") from exc

@@ -69,6 +69,12 @@ class Artifact:
     # The kind a versioned format names in its errors; None writes no version.
     KIND: str | None = None
 
+    def __eq__(self, other: object) -> bool:
+        """Same type and same ``to_dict()``; a class declared ``eq=False`` compares so."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
     def to_dict(self) -> dict:
         doc = {name: _encode(getattr(self, name)) for name, _ in _fields(type(self))}
         if self.KIND is not None:

@@ -268,11 +268,6 @@ class ConceptVector(Artifact):
         vec.setflags(write=False)
         object.__setattr__(self, "direction", vec)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConceptVector):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
     @property
     def dim(self) -> int:
         return int(self.direction.size)

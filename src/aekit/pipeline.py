@@ -62,32 +62,22 @@ PIPELINE_SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
-class EmbeddingSettings:
-    kind: str = "mock"
+class MockEmbedding:
+    """``[embedding] kind = mock``: a :class:`MockEmbeddingProvider`'s seed and width."""
+
     seed: int = 0
     dim: int = 64
-    remote: ProviderConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mock", "remote"):
-            raise ConfigError(f"unknown embedding kind: {self.kind!r}")
-        if self.kind == "mock" and self.dim < 1:
+        if self.dim < 1:
             raise ConfigError("mock embedding dim must be >= 1")
-        if self.kind == "remote" and self.remote is None:
-            raise ConfigError("remote embedding needs provider settings")
 
 
 @dataclass(frozen=True)
-class ChatSettings:
-    kind: str = "scripted"
-    script_path: str | None = None
-    remote: ProviderConfig | None = None
+class ScriptedChat:
+    """``[chat] kind = scripted``: the file of per-paper chat scripts."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("scripted", "remote"):
-            raise ConfigError(f"unknown chat kind: {self.kind!r}")
-        if self.kind == "remote" and self.remote is None:
-            raise ConfigError("remote chat needs provider settings")
+    script_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -121,8 +111,8 @@ class PrepareSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    embedding: EmbeddingSettings = EmbeddingSettings()
-    chat: ChatSettings = ChatSettings()
+    embedding: MockEmbedding | ProviderConfig = MockEmbedding()
+    chat: ScriptedChat | ProviderConfig = ScriptedChat()
     rate: RateSettings = RateSettings()
     assess: AssessSettings = AssessSettings()
     prepare: PrepareSettings = PrepareSettings()
@@ -152,10 +142,6 @@ _FIELDS = {
 }
 
 
-def _remote(cls):
-    return lambda **values: cls(kind="remote", remote=ProviderConfig(**values))
-
-
 def _prepare(**values) -> PrepareSettings:
     sandbox = {k: values.pop(k) for k in _SANDBOX_KEYS if k in values}
     limits = {k: values.pop(k) for k in _LIMITS_KEYS if k in values}
@@ -165,17 +151,17 @@ def _prepare(**values) -> PrepareSettings:
 # Per section and kind: what builds its settings from its values, and its
 # key table, which maps each key the section takes to its typed getter.
 _SECTIONS = {
-    ("embedding", "mock"): (EmbeddingSettings, {"seed": _INT, "dim": _INT}),
-    ("embedding", "remote"): (_remote(EmbeddingSettings), _EMBEDDING_KEYS),
-    ("chat", "scripted"): (ChatSettings, {"script": _STR}),
-    ("chat", "remote"): (_remote(ChatSettings), _CHAT_KEYS),
+    ("embedding", "mock"): (MockEmbedding, {"seed": _INT, "dim": _INT}),
+    ("embedding", "remote"): (ProviderConfig, _EMBEDDING_KEYS),
+    ("chat", "scripted"): (ScriptedChat, {"script": _STR}),
+    ("chat", "remote"): (ProviderConfig, _CHAT_KEYS),
     ("rate", None): (RateSettings, {"enabled": _BOOL, "concept": _STR, "cutoff": _STR}),
     ("assess", None): (AssessSettings, {"enabled": _BOOL, "bank": _STR, "model": _STR}),
     ("prepare", None): (_prepare, {"enabled": _BOOL, **_SANDBOX_KEYS, **_LIMITS_KEYS}),
     ("pipeline", None): (dict, {"gate": _BOOL, "seed": _INT, "out": _STR, "workers": _INT}),
 }
 # The kind of a section with kinds that names none.
-_DEFAULT_KIND = {"embedding": EmbeddingSettings.kind, "chat": ChatSettings.kind}
+_DEFAULT_KIND = {"embedding": "mock", "chat": "scripted"}
 # Every key some section takes; ``kind`` picks a section's key table.
 _TAKEN = {"kind"}.union(*(keys for _, keys in _SECTIONS.values()))
 
@@ -236,20 +222,20 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def build_embedding_provider(settings: EmbeddingSettings) -> EmbeddingProvider:
-    if settings.kind == "mock":
-        return MockEmbeddingProvider(seed=settings.seed, dim=settings.dim)
-    return RemoteEmbeddingProvider(settings.remote)
+def build_embedding_provider(settings: MockEmbedding | ProviderConfig) -> EmbeddingProvider:
+    if isinstance(settings, ProviderConfig):
+        return RemoteEmbeddingProvider(settings)
+    return MockEmbeddingProvider(seed=settings.seed, dim=settings.dim)
 
 
-def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
+def build_chat_factory(settings: ScriptedChat | ProviderConfig) -> Callable[[str], ChatProvider]:
     """Per-paper chat providers.
 
     Scripted: the script file maps paper ids to message lists ("*" is the
     fallback); each paper gets a fresh cursor.  Remote: one shared
     provider for all papers, whose ``close`` the factory's ``close`` calls.
     """
-    if settings.kind == "scripted":
+    if not isinstance(settings, ProviderConfig):
         if not settings.script_path:
             raise ConfigError("scripted chat requires a script path")
         with checked_input(f"chat script {settings.script_path}"):
@@ -266,7 +252,7 @@ def build_chat_factory(settings: ChatSettings) -> Callable[[str], ChatProvider]:
 
         return factory
 
-    provider = RemoteChatProvider(settings.remote)
+    provider = RemoteChatProvider(settings)
 
     def shared(paper_id: str) -> ChatProvider:
         return provider

@@ -798,6 +798,22 @@ class TestStageCommands:
         assert err == f"configuration error: {given}: entries[0]: missing field 'neutral_prompt'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("paper_dirs", [(), ("p001",)], ids=["empty", "no-paper-txt"])
+    def test_pipeline_over_a_corpus_without_a_paper_exits_2_and_writes_nothing(
+        self, trained, tmp_path, capsys, monkeypatch, paper_dirs
+    ):
+        root, _, config = trained
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in paper_dirs:
+            (corpus / name).mkdir()
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args: pytest.fail("providers were built"))
+        out = tmp_path / "out"
+        assert run_cli("--config", config, *stage_argv("pipeline", root, corpus, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.endswith(f"configuration error: corpus {corpus} has no paper to run\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["extract-concept", "rate", "assess", "pipeline"])
     def test_skipped_corpus_entries_are_named_on_stderr(self, trained, tmp_path, capsys, command):
         root, corpus_src, config = trained

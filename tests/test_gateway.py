@@ -28,6 +28,8 @@ from aekit.gateway import (
 )
 from aekit.jsonio import FieldError, canonical_dumps
 from aekit.pipeline import ConfigError, load_pipeline_config
+from aekit.prepare import OUTCOME_FAILURE, ArtifactBundle, PrepareLimits, PrepareOutcome, run_prepare_loop
+from aekit.sandbox import BACKEND_LOCAL, SandboxSpec
 
 from conftest import VectorTransport, document_encodings
 
@@ -742,6 +744,29 @@ class TestRemoteChat:
         sent = transport.requests[0]["body"]["messages"]
         assert sent == [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}]
 
+    @pytest.mark.parametrize(
+        "content, got",
+        [([{"type": "text", "text": "ACTION: DONE ok"}], "expected str, got array"),
+         (None, "expected str, got null"), (7, "expected str, got int"), ("", "must be nonempty")],
+    )
+    def test_content_that_is_not_a_nonempty_string_is_gateway_error(self, content, got):
+        body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
+        provider = RemoteChatProvider(make_cfg(), FakeTransport([(200, body)]))
+        with pytest.raises(GatewayError, match=got):
+            provider.next_message([ChatMessage("user", "hi")])
+
+    def test_content_parts_fail_the_prepare_loop_with_a_readable_outcome(self, tmp_path):
+        parts = [{"type": "text", "text": "ACTION: RUN\nCOMMAND: true"}]
+        body = json.dumps({"choices": [{"message": {"role": "assistant", "content": parts}}]}).encode()
+        provider = RemoteChatProvider(make_cfg(), FakeTransport([(200, body)]))
+        bundle = ArtifactBundle("demo", "A paper.", "https://example.org/demo.git", "run it")
+        spec = SandboxSpec(backend=BACKEND_LOCAL, workdir=str(tmp_path / "boxes"))
+        outcome = run_prepare_loop(bundle, spec, provider, PrepareLimits(max_iterations=3))
+        assert outcome.status == OUTCOME_FAILURE
+        assert "content: expected str, got array" in outcome.error_report.diagnosis_text
+        text = outcome.to_json()
+        assert PrepareOutcome.from_json(text).to_json() == text
+
 
 class TestChatMessage:
     def test_rejects_unknown_role(self):
@@ -781,7 +806,7 @@ class TestProviderConfig:
         with pytest.raises(ConfigError):
             load_pipeline_config(ini)
         ini.write_text("[embedding]\nkind = remote\nendpoint_url = http://x\nmodel_name = m\nbatch_size = 8\n")
-        assert load_pipeline_config(ini).embedding.remote.batch_size == 8
+        assert load_pipeline_config(ini).embedding.batch_size == 8
         # Only embeddings are batched; the chat section has no such setting.
         ini.write_text("[chat]\nkind = remote\nendpoint_url = http://x\nbatch_size = 0\n")
         with pytest.raises(ConfigError):

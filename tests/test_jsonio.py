@@ -81,8 +81,7 @@ def sample_artifacts() -> dict:
             "p1", 3, "not_runs", rate=verdict, prepare=summary, assess=report, errors=("x",),
         ),
         MetricSet: MetricSet(0.5, None, 1.0, 0.25, 0.125),
-        # One entry, since a dataclass compares an ndarray field by its truth value.
-        _Row: _Row(np.array([-0.0])),
+        _Row: _Row(np.array([-0.0, 0.5, 1e300])),
     }
 
 
@@ -95,6 +94,12 @@ def test_every_artifact_round_trips_byte_identically():
         loaded = cls.from_json(text)
         assert loaded == instance, cls
         assert loaded.to_json() == text, cls
+
+
+def test_an_artifact_with_an_array_field_compares_by_its_document():
+    row = _Row(np.array([0.5, 1.0]))
+    assert row == _Row(np.array([0.5, 1.0]))
+    assert row != _Row(np.array([0.5, 2.0])) and row != [0.5, 1.0]
 
 
 def test_only_concept_vector_overrides_the_codec_and_only_for_dim():

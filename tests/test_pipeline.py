@@ -10,14 +10,20 @@ from aekit import pipeline
 from aekit.assess import AssessorModel, PitfallBank, PitfallBankEntry, PitfallClassifier, STATUS_SKIPPED
 from aekit.cli import EXIT_OK, main as cli_main
 from aekit.corpus import CorpusEntry, GroundTruthRecord
-from aekit.gateway import ChatMessage, ProviderConfig, RemoteChatProvider, ScriptedChatProvider
+from aekit.gateway import (
+    ChatMessage,
+    MockEmbeddingProvider,
+    ProviderConfig,
+    RemoteChatProvider,
+    RemoteEmbeddingProvider,
+    ScriptedChatProvider,
+)
 from aekit.jsonio import canonical_dumps
 from aekit.measure import ConceptVector
 from aekit.pipeline import (
     AssessSettings,
-    ChatSettings,
     ConfigError,
-    EmbeddingSettings,
+    MockEmbedding,
     PipelineConfig,
     PIPELINE_NOT_RUNS,
     PIPELINE_RUNS,
@@ -26,6 +32,8 @@ from aekit.pipeline import (
     PrepareSummary,
     RateSettings,
     VerdictReport,
+    build_chat_factory,
+    build_embedding_provider,
     load_pipeline_config,
     pipeline_confusion,
     render_report,
@@ -336,8 +344,7 @@ class TestConfigFile:
             "[pipeline]\ngate = false\nseed = 9\nworkers = 2\n"
         )
         config = load_pipeline_config(path)
-        assert config.embedding.kind == "mock"
-        assert config.embedding.dim == 32
+        assert config.embedding == MockEmbedding(seed=3, dim=32)
         assert config.gate is False
         assert config.seed == 9
         assert config.workers == 2
@@ -377,15 +384,9 @@ class TestConfigFile:
         config = load_pipeline_config(path)
         assert config.out_dir == "/data/run/out" and config.embedding.dim == 8
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: EmbeddingSettings(kind="quantum"), lambda: EmbeddingSettings(kind="remote"),
-         lambda: ChatSettings(kind="quantum"), lambda: ChatSettings(kind="remote")],
-        ids=["embedding-kind", "embedding-remote-unset", "chat-kind", "chat-remote-unset"],
-    )
-    def test_provider_settings_check_their_kind(self, make):
+    def test_mock_embedding_checks_its_dim(self):
         with pytest.raises(ConfigError):
-            make()
+            MockEmbedding(dim=0)
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -432,14 +433,12 @@ class TestConfigFile:
             "output_cap = 1024\n"
         )
         config = load_pipeline_config(path)
-        assert config.embedding.kind == "remote"
-        assert config.embedding.remote == ProviderConfig(
+        assert config.embedding == ProviderConfig(
             endpoint_url="http://embed.test", model_name="em", auth_token_env="EMBED_TOKEN",
             timeout=12.5, max_retries=4, embedding_dim=256, pooling="last", cache_dir="/cache",
             batch_size=7,
         )
-        assert config.chat.kind == "remote"
-        assert config.chat.remote == ProviderConfig(
+        assert config.chat == ProviderConfig(
             endpoint_url="https://chat.test", model_name="cm", auth_token_env="CHAT_TOKEN",
             timeout=30.0, max_retries=0,
         )
@@ -449,6 +448,51 @@ class TestConfigFile:
                                 gpu=True, workdir="/boxes"),
             limits=PrepareLimits(max_iterations=9, command_timeout=45.5, output_cap=1024),
         )
+
+
+class TestBuiltProviders:
+    """Each provider section builds the provider its kind names."""
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "pipe.ini"
+        path.write_text(text)
+        return load_pipeline_config(path)
+
+    def test_mock_embedding(self, tmp_path):
+        config = self.load(tmp_path, "[embedding]\nkind = mock\nseed = 3\ndim = 32\n")
+        provider = build_embedding_provider(config.embedding)
+        assert type(provider) is MockEmbeddingProvider
+        assert provider.provider_id == "mock-embed-3-d32"
+
+    def test_remote_embedding(self, tmp_path):
+        config = self.load(tmp_path, "[embedding]\nkind = remote\nendpoint_url = http://e.test\n"
+                                     "model_name = em\nembedding_dim = 8\n")
+        provider = build_embedding_provider(config.embedding)
+        try:
+            assert type(provider) is RemoteEmbeddingProvider
+            assert provider.cfg == config.embedding == ProviderConfig("http://e.test", "em", embedding_dim=8)
+        finally:
+            provider.close()
+
+    def test_scripted_chat_gives_each_paper_a_fresh_provider(self, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"p1": ["one"], "*": ["any"]}))
+        factory = build_chat_factory(self.load(tmp_path, f"[chat]\nkind = scripted\nscript = {script}\n").chat)
+        first, second = factory("p1"), factory("p1")
+        assert type(first) is ScriptedChatProvider and first is not second
+        assert first.next_message([]).content == second.next_message([]).content == "one"
+        assert factory("p2").next_message([]).content == "any"
+
+    def test_remote_chat_is_one_provider_that_the_factory_closes(self, tmp_path, monkeypatch):
+        closed = []
+        monkeypatch.setattr(RemoteChatProvider, "close", lambda self: closed.append(self))
+        config = self.load(tmp_path, "[chat]\nkind = remote\nendpoint_url = http://c.test\nmodel_name = cm\n")
+        factory = build_chat_factory(config.chat)
+        provider = factory("p1")
+        assert type(provider) is RemoteChatProvider and provider.cfg == config.chat
+        assert factory("p2") is provider
+        factory.close()
+        assert closed == [provider]
 
 
 class TestReruns:
@@ -487,8 +531,7 @@ class TestOwnedProviders:
 
     def test_built_providers_are_closed_and_injected_ones_are_not(self, tmp_path, monkeypatch):
         config, entries, provider = gate_fixture(tmp_path)
-        remote = ProviderConfig("http://fake.test", "m")
-        config = replace(config, chat=ChatSettings(kind="remote", remote=remote))
+        config = replace(config, chat=ProviderConfig("http://fake.test", "m"))
         closed = []
         monkeypatch.setattr(RemoteChatProvider, "close", lambda self: closed.append(self))
         built = ClosingMarkerProvider(closed, provider.dim, provider.markers)
