@@ -304,9 +304,14 @@ def fit_logistic(
 # Assessor model
 # --------------------------------------------------------------------------
 
+def _inputs(mode: str, i: int) -> slice:
+    """The scores that pitfall i's classifier reads: all of them, or its own."""
+    return slice(None) if mode == MODE_FULL_VECTOR else slice(i, i + 1)
+
+
 @dataclass(frozen=True)
 class PitfallClassifier(Artifact):
-    """Per-pitfall trained record; weights has length 1 in univariate mode."""
+    """Per-pitfall trained record; a trained one has a weight per :func:`_inputs` score."""
 
     pitfall_id: str
     status: str
@@ -336,6 +341,14 @@ class AssessorModel(Artifact):
         if self.mode not in (MODE_UNIVARIATE, MODE_FULL_VECTOR):
             raise ValueError(f"unknown mode: {self.mode!r}")
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
+        pitfalls = range(len(self.classifiers))
+        for i, clf in enumerate(self.classifiers):
+            width = len(pitfalls[_inputs(self.mode, i)])
+            if clf.status == STATUS_TRAINED and len(clf.weights) != width:
+                raise ValueError(
+                    f"classifiers[{i}] ({clf.pitfall_id}) has {len(clf.weights)} weights; "
+                    f"mode {self.mode} needs {width}"
+                )
 
     @property
     def pitfall_ids(self) -> list[str]:
@@ -363,9 +376,12 @@ def train_assessor(
     """Fit one classifier per pitfall, skipping under-annotated ones.
 
     annotations maps paper_id -> {pitfall_id -> value}.  Every feature
-    vector must have an annotation record and the expected length; a
-    pitfall with fewer than five usable examples in either class yields a
-    skipped entry rather than a model.
+    vector must have an annotation record and the expected length.  Each
+    pitfall's classifier is fit on the :func:`_inputs` columns of the
+    papers whose annotation gives a label; a missing annotation counts as
+    ``unclear``.  Where the fit raises :class:`ClassImbalance` (fewer than
+    five examples in either class) the pitfall gets a skipped entry
+    rather than a model.
     """
     if not features:
         raise AlignmentMismatch("no feature vectors given")
@@ -379,37 +395,18 @@ def train_assessor(
                 f"feature vector for {fv.paper_id!r} has length {fv.m}, expected {len(pitfall_ids)}"
             )
 
+    scores = np.array([fv.scores for fv in features], dtype=np.float64)
     classifiers: list[PitfallClassifier] = []
     for i, pid in enumerate(pitfall_ids):
-        xs: list[Sequence[float] | float] = []
-        ys: list[int] = []
-        for fv in features:
-            value = annotations[fv.paper_id].get(pid)
-            if value is None:
-                continue
-            label = _binary_label(value)
-            if label is None:
-                continue
-            xs.append(fv.scores if mode == MODE_FULL_VECTOR else fv.scores[i])
-            ys.append(label)
-        n_pos = sum(ys)
-        n_neg = len(ys) - n_pos
-        if n_pos < MIN_PER_CLASS or n_neg < MIN_PER_CLASS:
-            classifiers.append(PitfallClassifier(pitfall_id=pid, status=STATUS_SKIPPED))
-            continue
-        x = np.asarray(xs, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        w, b = _fit_logistic_nd(x, np.asarray(ys, dtype=np.float64), l2)
-        classifiers.append(
-            PitfallClassifier(
-                pitfall_id=pid,
-                status=STATUS_TRAINED,
-                weights=tuple(float(v) for v in w),
-                bias=b,
-                trained_on=len(ys),
-            )
-        )
+        labels = [_binary_label(annotations[fv.paper_id].get(pid, "unclear")) for fv in features]
+        rows = [r for r, label in enumerate(labels) if label is not None]
+        ys = np.array([labels[r] for r in rows], dtype=np.float64)
+        try:
+            w, b = _fit_logistic_nd(scores[rows, _inputs(mode, i)], ys, l2)
+        except ClassImbalance:
+            classifiers.append(PitfallClassifier(pid, STATUS_SKIPPED))
+        else:
+            classifiers.append(PitfallClassifier(pid, STATUS_TRAINED, tuple(w.tolist()), b, len(rows)))
     return AssessorModel(mode=mode, classifiers=tuple(classifiers))
 
 
@@ -442,22 +439,19 @@ def check_alignment(bank: PitfallBank, model: AssessorModel) -> None:
             )
 
 
-def _report(paper_id: str, scores: tuple[float, ...], model: AssessorModel) -> PitfallReport:
+def _report(paper_id: str, scores: np.ndarray, model: AssessorModel) -> PitfallReport:
     """The per-pitfall classifiers applied to one paper's feature scores."""
     findings: list[PitfallFinding] = []
     for i, clf in enumerate(model.classifiers):
-        score = scores[i]
-        if clf.status == STATUS_SKIPPED:
-            findings.append(
-                PitfallFinding(pitfall_id=clf.pitfall_id, label=LABEL_SKIPPED, probability=None, score=score)
-            )
-            continue
-        x = np.asarray(scores) if model.mode == MODE_FULL_VECTOR else np.asarray([score])
-        prob = float(sigmoid(float(np.asarray(clf.weights) @ x + clf.bias)))
-        label = LABEL_PRESENT if prob >= 0.5 else LABEL_ABSENT
-        findings.append(
-            PitfallFinding(pitfall_id=clf.pitfall_id, label=label, probability=prob, score=score)
+        probability = None
+        if clf.status == STATUS_TRAINED:
+            z = float(np.asarray(clf.weights) @ scores[_inputs(model.mode, i)] + clf.bias)
+            probability = float(sigmoid(z))
+        label = (
+            LABEL_SKIPPED if probability is None
+            else LABEL_PRESENT if probability >= 0.5 else LABEL_ABSENT
         )
+        findings.append(PitfallFinding(clf.pitfall_id, label, probability, float(scores[i])))
     return PitfallReport(paper_id=paper_id, findings=tuple(findings))
 
 
@@ -477,10 +471,7 @@ def assess_documents(
     """
     check_alignment(bank, model)
     scores = _score_matrix([text for _, text in papers], bank, provider)
-    return [
-        _report(paper_id, tuple(row.tolist()), model)
-        for (paper_id, _), row in zip(papers, scores)
-    ]
+    return [_report(paper_id, row, model) for (paper_id, _), row in zip(papers, scores)]
 
 
 def assess_document(

@@ -10,7 +10,7 @@ the --config INI and an unknown label in --predictions count), an
 an --annotations file that lacks a training paper, a --bank and --model
 that do not match and a paper annotated with a readme that has no
 readme.txt.  A corpus directory that cannot be loaded is skipped and
-named on stderr; a pipeline corpus left with no paper exits 2.
+named on stderr; a corpus left with no paper exits 2.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .assess import (
+    STATUS_TRAINED,
     AlignmentMismatch,
     AssessorModel,
     PitfallBank,
@@ -92,10 +93,12 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _load_corpus(root):
-    """:func:`load_corpus`, naming each skipped entry on stderr."""
+    """:func:`load_corpus`, naming each skipped entry on stderr; ConfigError if no paper loads."""
     loaded = load_corpus(root)
     for error in loaded.errors:
         print(f"skipped {error}", file=sys.stderr)
+    if not loaded.entries:
+        raise ConfigError(f"corpus {root} has no paper to run")
     return loaded
 
 
@@ -215,7 +218,7 @@ def _cmd_assess_train(args) -> int:
     # Both files are written only once the model is trained.
     write_text(args.bank_out, bank.to_json())
     write_text(args.model_out, model.to_json())
-    trained = sum(1 for c in model.classifiers if c.status == "trained")
+    trained = sum(1 for c in model.classifiers if c.status == STATUS_TRAINED)
     print(
         f"bank ({len(bank)} pitfalls) -> {args.bank_out}; "
         f"model ({trained} trained, {len(model.classifiers) - trained} skipped) -> {args.model_out}"
@@ -243,8 +246,6 @@ def _cmd_assess(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     loaded = _load_corpus(args.corpus)
-    if not loaded.entries:
-        raise ConfigError(f"corpus {args.corpus} has no paper to run")
     result = run_pipeline(config, loaded.entries)
 
     out_dir = Path(config.out_dir)

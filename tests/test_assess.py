@@ -5,6 +5,8 @@ import pytest
 
 from aekit import measure
 from aekit.assess import (
+    DEFAULT_L2,
+    MIN_PER_CLASS,
     AlignmentMismatch,
     AssessorModel,
     ClassImbalance,
@@ -30,6 +32,8 @@ from aekit.assess import (
     logistic_gradient,
     logistic_loss,
     sigmoid,
+    _binary_label,
+    _fit_logistic_nd,
     train_assessor,
 )
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
@@ -365,6 +369,118 @@ class TestTrainAssessor:
         features, annotations = separable_features(m=1)
         model = train_assessor(features, annotations, ["P1"])
         assert AssessorModel.from_json(model.to_json()).to_json() == model.to_json()
+
+
+def per_pitfall_loop(features, annotations, pitfall_ids, mode, l2=DEFAULT_L2):
+    """Reference: list building and the five-per-class count, pitfall by pitfall."""
+    classifiers = []
+    for i, pid in enumerate(pitfall_ids):
+        xs, ys = [], []
+        for fv in features:
+            value = annotations[fv.paper_id].get(pid)
+            if value is None:
+                continue
+            label = _binary_label(value)
+            if label is None:
+                continue
+            xs.append(fv.scores if mode == MODE_FULL_VECTOR else fv.scores[i])
+            ys.append(label)
+        n_pos = sum(ys)
+        if n_pos < MIN_PER_CLASS or len(ys) - n_pos < MIN_PER_CLASS:
+            classifiers.append(PitfallClassifier(pid, STATUS_SKIPPED))
+            continue
+        x = np.asarray(xs, dtype=np.float64)
+        if x.ndim == 1:
+            x = x.reshape(-1, 1)
+        w, b = _fit_logistic_nd(x, np.asarray(ys, dtype=np.float64), l2)
+        classifiers.append(
+            PitfallClassifier(pid, STATUS_TRAINED, tuple(float(v) for v in w), b, len(ys))
+        )
+    return AssessorModel(mode, tuple(classifiers))
+
+
+def mixed_annotations(n=40, seed=5):
+    """Features for P1..P4 whose annotations mix every value and missing entries.
+
+    P1 draws from present, partial, absent, unclear and missing; P2 has
+    exactly 5 positive (present or partial) and 5 absent papers, P3 4 and
+    6, P4 none.  Every other P2/P3 paper is unclear or unannotated.
+    """
+    rng = np.random.default_rng(seed)
+    features, annotations = [], {}
+    for r in range(n):
+        pid = f"p{r:02d}"
+        scores = rng.normal(size=4)
+        features.append(PitfallFeatureVector(pid, tuple(scores.tolist())))
+        record = {}
+        value = rng.choice(["present", "partial", "absent", "absent", "unclear", ""])
+        if value:
+            record["P1"] = str(value)
+        for pitfall, n_pos, n_neg in (("P2", 5, 5), ("P3", 4, 6)):
+            if r < n_pos:
+                record[pitfall] = "partial" if r % 2 else "present"
+            elif r < n_pos + n_neg:
+                record[pitfall] = "absent"
+            elif r % 2:
+                record[pitfall] = "unclear"
+        annotations[pid] = record
+    return features, annotations
+
+
+class TestTrainAssessorReference:
+    @pytest.mark.parametrize("mode", ["univariate", MODE_FULL_VECTOR])
+    def test_equals_the_per_pitfall_loop_bitwise(self, mode):
+        features, annotations = mixed_annotations()
+        ids = ["P1", "P2", "P3", "P4"]
+        model = train_assessor(features, annotations, ids, mode=mode)
+        expected = per_pitfall_loop(features, annotations, ids, mode)
+        assert model.to_json() == expected.to_json()
+        for got, want in zip(model.classifiers, expected.classifiers):
+            assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
+            assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+        assert [c.status for c in model.classifiers] == [
+            STATUS_TRAINED, STATUS_TRAINED, STATUS_SKIPPED, STATUS_SKIPPED
+        ]
+        labelled = sum(1 for a in annotations.values() if a.get("P1", "unclear") != "unclear")
+        assert [c.trained_on for c in model.classifiers] == [labelled, 10, 0, 0]
+        width = 4 if mode == MODE_FULL_VECTOR else 1
+        assert [len(c.weights) for c in model.classifiers] == [width, width, 0, 0]
+
+    def test_negative_l2_raises_even_when_every_pitfall_is_skipped(self):
+        features, annotations = mixed_annotations()
+        ids = ["P1", "P2", "P3", "P4"]
+        thin = {pid: {"P3": a["P3"]} if "P3" in a else {} for pid, a in annotations.items()}
+        skipped = per_pitfall_loop(features, thin, ids, "univariate", l2=-1.0)
+        assert {c.status for c in skipped.classifiers} == {STATUS_SKIPPED}
+        for given in (thin, annotations):
+            with pytest.raises(ValueError, match="l2 must be nonnegative"):
+                train_assessor(features, given, ids, l2=-1.0)
+
+
+class TestAssessorModelWeights:
+    @pytest.mark.parametrize(
+        "mode, weights, width",
+        [("univariate", (), 1), ("univariate", (0.5, -0.25), 1),
+         (MODE_FULL_VECTOR, (0.5,), 2), (MODE_FULL_VECTOR, (0.5, 0.5, 0.5), 2)],
+        ids=["univariate-none", "univariate-two", "full-one", "full-three"],
+    )
+    def test_a_trained_classifier_needs_one_weight_per_input(self, mode, weights, width):
+        classifiers = (
+            PitfallClassifier("P1", STATUS_SKIPPED),
+            PitfallClassifier("P2", STATUS_TRAINED, weights, 0.0, 10),
+        )
+        message = rf"classifiers\[1\] \(P2\) has {len(weights)} weights; mode {mode} needs {width}$"
+        with pytest.raises(ValueError, match=message):
+            AssessorModel(mode, classifiers)
+
+    @pytest.mark.parametrize("mode, width", [("univariate", 1), (MODE_FULL_VECTOR, 2)])
+    def test_weights_that_fit_the_mode_are_accepted(self, mode, width):
+        classifiers = (
+            PitfallClassifier("P1", STATUS_SKIPPED),
+            PitfallClassifier("P2", STATUS_TRAINED, (0.5,) * width, 0.0, 10),
+        )
+        model = AssessorModel(mode, classifiers)
+        assert AssessorModel.from_json(model.to_json()) == model
 
 
 class TestAssessDocument:

@@ -814,6 +814,52 @@ class TestStageCommands:
         assert err.endswith(f"configuration error: corpus {corpus} has no paper to run\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", ["extract-concept", "calibrate", "rate", "assess-train", "assess"]
+    )
+    def test_every_command_refuses_a_corpus_without_a_paper(self, trained, tmp_path, capsys, command):
+        root, corpus_src, config = trained
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = tmp_path / "out"
+        if command == "assess-train":
+            argv = ["assess-train", "--corpus", corpus, "--annotations", corpus_src / "ground_truth.csv",
+                    "--n-train", "3", "--bank-out", out, "--model-out", tmp_path / "model.json"]
+        else:
+            argv = stage_argv(command, root, corpus, out)
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: corpus {corpus} has no paper to run\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["assess", "pipeline"])
+    @pytest.mark.parametrize("weights", [[], [0.5, -0.25]], ids=["none", "two"])
+    def test_a_trained_classifier_with_the_wrong_weight_count_exits_2(
+        self, trained, tmp_path, capsys, command, weights
+    ):
+        root, corpus, config = trained
+        model = json.loads((root / "model.json").read_text())
+        assert model["mode"] == "univariate"
+        model["classifiers"][1].update(status="trained", weights=weights, bias=0.0, trained_on=10)
+        given = tmp_path / "model.json"
+        given.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        argv = stage_argv(command, root, corpus, out)
+        if command == "pipeline":
+            text = config.read_text().replace(str(root / "model.json"), str(given))
+            config = tmp_path / "pipeline.ini"
+            config.write_text(text)
+        else:
+            argv[argv.index("--model") + 1] = given
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        pid = model["classifiers"][1]["pitfall_id"]
+        assert capsys.readouterr().err == (
+            f"configuration error: {given}: classifiers[1] ({pid}) has {len(weights)} weights; "
+            "mode univariate needs 1\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["extract-concept", "rate", "assess", "pipeline"])
     def test_skipped_corpus_entries_are_named_on_stderr(self, trained, tmp_path, capsys, command):
         root, corpus_src, config = trained
