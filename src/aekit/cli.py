@@ -272,7 +272,7 @@ def _cmd_evaluate(args) -> int:
     labels = _EVALUATED_LABELS[args.field]
     pairs = []
     seen: set[str] = set()
-    with checked_input(f"predictions {args.predictions}"), open(args.predictions, encoding="utf-8") as fh:
+    with checked_input(f"predictions {args.predictions}"), open(args.predictions, encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

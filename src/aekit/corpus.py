@@ -102,14 +102,14 @@ def _parse_bool(raw: str, column: str, paper_id: str) -> bool | None:
 
 
 def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
-    """Parse the annotation CSV.
+    """Parse the annotation CSV; a leading UTF-8 byte-order mark is ignored.
 
     A malformed file (not UTF-8, no paper_id header, an unparsable cell or
     an invalid record) raises ConfigError naming it; a duplicate paper id
     raises its subclass DuplicatePaperId.
     """
     records: dict[str, GroundTruthRecord] = {}
-    with checked_input(csv_path), open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with checked_input(csv_path), open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             fieldnames = reader.fieldnames

@@ -59,7 +59,8 @@ def write_text(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The UTF-8 file's text, less a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -328,12 +328,21 @@ def run_pipeline(
     chat_factory: Callable[[str], ChatProvider] | None = None,
     prepare_fn: PrepareFn | None = None,
 ) -> PipelineResult:
-    """Run the enabled stages over the corpus, one report per paper.
+    """Run the enabled stages over the corpus, one report per paper, in paper-id order.
 
     Configuration problems (among them a bank and model that do not
-    match) abort with ConfigError before any stage runs; per-paper stage
-    failures only mark that paper's report.  Providers built here from
-    ``config`` are closed on return; injected ones are left open.
+    match) abort with ConfigError before any stage runs.  Providers built
+    here from ``config`` are closed on return; injected ones are left open.
+
+    Each paper runs rate, prepare and assess in that order.  A stage that
+    raises marks only its paper: the report's ``errors`` gets
+    ``"<stage>: <message>"``, in stage order, and the batch goes on.  The
+    gate skips preparation only for a paper rated ``not_runs``; a paper
+    whose rating failed has no verdict to gate on, so it is prepared.  The
+    label is ``skipped`` when the paper has no prepare summary, else
+    ``runs`` or ``not_runs`` by its outcome.  One worker runs the papers
+    in the calling thread, so Ctrl-C stops the running paper at once; a
+    pool stops only the queued ones and lets each running paper finish.
     """
     with contextlib.ExitStack() as built:
         if embedding_provider is None and (config.rate.enabled or config.assess.enabled):
@@ -342,110 +351,75 @@ def run_pipeline(
         if chat_factory is None and config.prepare.enabled:
             chat_factory = build_chat_factory(config.chat)
             built.enter_context(closing_built(chat_factory))
-        return _run_stages(config, entries, embedding_provider, chat_factory, prepare_fn)
 
-
-def _run_stages(
-    config: PipelineConfig,
-    entries: Sequence[CorpusEntry],
-    embedding_provider: EmbeddingProvider | None,
-    chat_factory: Callable[[str], ChatProvider] | None,
-    prepare_fn: PrepareFn | None,
-) -> PipelineResult:
-    """:func:`run_pipeline` once its providers are in hand."""
-    concept = cutoff = bank = model = None
-    if config.rate.enabled:
-        concept = load_artifact(ConceptVector, config.rate.concept_path)
-        cutoff = load_artifact(Cutoff, config.rate.cutoff_path)
-    if config.assess.enabled:
-        bank = load_artifact(PitfallBank, config.assess.bank_path)
-        model = load_artifact(AssessorModel, config.assess.model_path)
-        try:
-            check_alignment(bank, model)
-        except AlignmentMismatch as exc:
-            raise ConfigError(
-                f"bank {config.assess.bank_path} and model {config.assess.model_path}: {exc}"
-            ) from exc
-
-    if prepare_fn is None:
-        def prepare_fn(bundle: ArtifactBundle, chat: ChatProvider) -> PrepareOutcome:
-            return run_prepare_loop(
-                bundle, config.prepare.sandbox, chat, config.prepare.limits
-            )
-
-    def process(entry: CorpusEntry) -> tuple[VerdictReport, PrepareOutcome | None]:
-        errors: list[str] = []
-        rate_verdict: RateVerdict | None = None
-        if config.rate.enabled and entry.readme_text:
-            try:
-                rate_verdict = rate_document(
-                    RateInput(entry.paper_id, entry.paper_text, entry.readme_text),
-                    concept,
-                    cutoff,
-                    embedding_provider,
-                )
-            except Exception as exc:
-                errors.append(f"rate: {exc}")
-        elif config.rate.enabled and wants_rating(entry):
-            errors.append(f"rate: {README_MISSING}")
-
-        gated_out = (
-            config.gate
-            and rate_verdict is not None
-            and rate_verdict.label == LABEL_NOT_RUNS
-        )
-
-        prepare_summary: PrepareSummary | None = None
-        prepare_outcome: PrepareOutcome | None = None
-        if config.prepare.enabled and not gated_out and entry.source_ref:
-            try:
-                bundle = ArtifactBundle(
-                    entry.paper_id, entry.paper_text, entry.source_ref, entry.readme_text
-                )
-                prepare_outcome = prepare_fn(bundle, chat_factory(entry.paper_id))
-                prepare_summary = PrepareSummary.from_outcome(prepare_outcome)
-            except Exception as exc:
-                errors.append(f"prepare: {exc}")
-
-        assess_report: PitfallReport | None = None
+        concept = cutoff = bank = model = None
+        if config.rate.enabled:
+            concept = load_artifact(ConceptVector, config.rate.concept_path)
+            cutoff = load_artifact(Cutoff, config.rate.cutoff_path)
         if config.assess.enabled:
+            bank = load_artifact(PitfallBank, config.assess.bank_path)
+            model = load_artifact(AssessorModel, config.assess.model_path)
             try:
-                assess_report = assess_document(
-                    entry.paper_text, bank, model, embedding_provider, paper_id=entry.paper_id
-                )
-            except Exception as exc:
-                errors.append(f"assess: {exc}")
+                check_alignment(bank, model)
+            except AlignmentMismatch as exc:
+                raise ConfigError(
+                    f"bank {config.assess.bank_path} and model {config.assess.model_path}: {exc}"
+                ) from exc
 
-        if prepare_summary is not None:
-            label = (
-                PIPELINE_RUNS
-                if prepare_summary.outcome == OUTCOME_SUCCESS
-                else PIPELINE_NOT_RUNS
+        if prepare_fn is None:
+            def prepare_fn(bundle: ArtifactBundle, chat: ChatProvider) -> PrepareOutcome:
+                return run_prepare_loop(bundle, config.prepare.sandbox, chat, config.prepare.limits)
+
+        def process(entry: CorpusEntry) -> tuple[VerdictReport, PrepareOutcome | None]:
+            errors: list[str] = []
+
+            def stage(name: str, call: Callable):
+                """``call()``, or None with its error recorded as stage ``name``'s."""
+                try:
+                    return call()
+                except Exception as exc:
+                    errors.append(f"{name}: {exc}")
+                    return None
+
+            rate_verdict = outcome = assess_report = None
+            if config.rate.enabled and entry.readme_text:
+                rate_verdict = stage("rate", lambda: rate_document(
+                    RateInput(entry.paper_id, entry.paper_text, entry.readme_text),
+                    concept, cutoff, embedding_provider))
+            elif config.rate.enabled and wants_rating(entry):
+                errors.append(f"rate: {README_MISSING}")
+            gated_out = config.gate and rate_verdict is not None and rate_verdict.label == LABEL_NOT_RUNS
+            if config.prepare.enabled and not gated_out and entry.source_ref:
+                outcome = stage("prepare", lambda: prepare_fn(
+                    ArtifactBundle(entry.paper_id, entry.paper_text, entry.source_ref, entry.readme_text),
+                    chat_factory(entry.paper_id)))
+            if config.assess.enabled:
+                assess_report = stage("assess", lambda: assess_document(
+                    entry.paper_text, bank, model, embedding_provider, paper_id=entry.paper_id))
+
+            summary = None if outcome is None else PrepareSummary.from_outcome(outcome)
+            label = (PIPELINE_SKIPPED if summary is None
+                     else PIPELINE_RUNS if summary.outcome == OUTCOME_SUCCESS else PIPELINE_NOT_RUNS)
+            report = VerdictReport(
+                paper_id=entry.paper_id,
+                seed=config.seed,
+                pipeline_label=label,
+                rate=rate_verdict,
+                prepare=summary,
+                assess=assess_report,
+                errors=tuple(errors),
             )
+            return report, outcome
+
+        ordered = sorted(entries, key=lambda e: e.paper_id)
+        if config.workers == 1:
+            results = [process(e) for e in ordered]
         else:
-            label = PIPELINE_SKIPPED
-
-        report = VerdictReport(
-            paper_id=entry.paper_id,
-            seed=config.seed,
-            pipeline_label=label,
-            rate=rate_verdict,
-            prepare=prepare_summary,
-            assess=assess_report,
-            errors=tuple(errors),
-        )
-        return report, prepare_outcome
-
-    ordered = sorted(entries, key=lambda e: e.paper_id)
-    if config.workers == 1:
-        results = [process(e) for e in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(process, ordered))
-
-    reports = tuple(r for r, _ in results)
-    outcomes = {r.paper_id: o for r, o in results if o is not None}
-    return PipelineResult(reports=reports, prepare_outcomes=outcomes)
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(process, ordered))
+        reports = tuple(r for r, _ in results)
+        outcomes = {r.paper_id: o for r, o in results if o is not None}
+        return PipelineResult(reports=reports, prepare_outcomes=outcomes)
 
 
 def pipeline_confusion(

@@ -236,7 +236,8 @@ class LocalProcessSandbox:
         if parent is not None:
             Path(parent).mkdir(parents=True, exist_ok=True)
         self.spec = spec
-        self.workdir = Path(tempfile.mkdtemp(prefix="aekit-sandbox-", dir=parent))
+        # Absolute, so HOME and TMPDIR still name it after a command's ``cd``.
+        self.workdir = Path(tempfile.mkdtemp(prefix="aekit-sandbox-", dir=parent)).absolute()
         self._open = True
         self._groups: list[int] = []
 

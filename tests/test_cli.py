@@ -167,6 +167,17 @@ class TestPipelineCommand:
         doc = json.loads(metrics_file.read_text())
         assert set(doc) == {"version", "accuracy", "precision", "recall", "f1", "f2"}
 
+    def test_evaluate_ignores_a_leading_byte_order_mark(self, workspace):
+        tmp_path, corpus, _ = workspace
+        text = b'{"paper_id": "p001", "pipeline_label": "runs"}\n{"paper_id": "p002", "pipeline_label": "runs"}\n'
+        for name, content in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.jsonl").write_bytes(content)
+            assert run_cli(
+                "evaluate", "--predictions", tmp_path / f"{name}.jsonl",
+                "--ground-truth", corpus / "ground_truth.csv", "--out-file", tmp_path / f"{name}.json",
+            ) == EXIT_OK
+        assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     def test_evaluate_rejects_a_paper_named_twice(self, workspace, capsys):
         tmp_path, corpus, config = workspace
         build_assets(tmp_path, corpus, config)

@@ -211,6 +211,15 @@ class TestGroundTruth:
             load_ground_truth(path)
         assert str(raised.value).startswith(f"{path}: ") and message in str(raised.value)
 
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one.
+        text = b"paper_id,code_available,manually_runnable,P1\na,true,false,present\nb,false,,\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_ground_truth(marked) == load_ground_truth(plain)
+        assert load_ground_truth(plain)["a"].pitfalls == {"P1": "present"}
+
     def test_duplicate_paper_id_names_the_file(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("paper_id,code_available\na,true\na,false\n")

@@ -74,3 +74,28 @@ def test_small_workload_passes_the_benchmark_oracles(monkeypatch, tmp_path, name
         out = tmp_path / f"op{i}"
         out.mkdir()
         assert workload.check(out, workload.op(out, None)) == (0, [])
+
+
+def test_the_tracer_sees_the_pipelines_per_paper_calls(monkeypatch, tmp_path):
+    # missing_targets() checks only that the patched names exist; this
+    # checks that run_pipeline still calls them, once per paper and stage.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+
+    class Small(workloads.Score):
+        N_PAPERS, N_TRAIN, DIM = 24, 8, 64
+
+    token = workloads.dummy_token(5)
+    monkeypatch.setenv(workloads.TOKEN_ENV, token)
+    workload = Small(5, token)
+    workload.setup(tmp_path / "setup")
+    store = tracing.SpanStore()
+    out = tmp_path / "op"
+    out.mkdir()
+    with tracing.patched(store):
+        workload.op(out, store)
+    names = [s.name for s in store.spans]
+    assert names.count("pipeline.run") == 1
+    assert names.count("rate.document") == len(workload.rate_inputs) == 20
+    assert names.count("assess.document") == len(workload.assess_inputs) == 24

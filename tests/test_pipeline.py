@@ -187,6 +187,54 @@ class TestFaultIsolation:
         assert by_id["hi1"].pipeline_label == PIPELINE_SKIPPED  # nothing ran
         assert by_id["hi2"].pipeline_label == PIPELINE_RUNS
 
+    def test_stage_errors_are_recorded_in_stage_order(self, tmp_path):
+        # lo1's documents fail to embed, so its rate and assess stages fail;
+        # with no verdict to gate on it is still prepared, and that fails too.
+        config, entries, provider = gate_fixture(tmp_path)
+        concept = ConceptVector(np.array([1.0, 0.0, 0.0, 0.0]), "pitfall", "marker-test", "dg", 3)
+        bank = PitfallBank((PitfallBankEntry("P1", "one", "neutral", concept),))
+        model = AssessorModel("univariate", (PitfallClassifier("P1", STATUS_SKIPPED),))
+        bank_path, model_path = tmp_path / "bank.json", tmp_path / "model.json"
+        bank_path.write_text(bank.to_json())
+        model_path.write_text(model.to_json())
+        config = replace(config, assess=AssessSettings(True, str(bank_path), str(model_path)))
+
+        class FailingMarkerProvider(MarkerProvider):
+            def embed(self, system_prompt, document):
+                if "MARK-LO-1" in document:
+                    raise RuntimeError("no vector for MARK-LO-1")
+                return super().embed(system_prompt, document)
+
+        def prepare_fn(bundle, chat):
+            if bundle.paper_id == "lo1":
+                raise RuntimeError("no sandbox for lo1")
+            return recording_prepare_fn([])(bundle, chat)
+
+        def run(workers):
+            return run_pipeline(
+                replace(config, workers=workers), entries,
+                embedding_provider=FailingMarkerProvider(provider.dim, provider.markers),
+                chat_factory=lambda pid: None, prepare_fn=prepare_fn,
+            )
+
+        result = run(1)
+        assert [r.to_json() for r in result.reports] == [r.to_json() for r in run(2).reports]
+        by_id = {r.paper_id: r for r in result.reports}
+        assert [r.paper_id for r in result.reports] == ["hi1", "hi2", "lo1", "lo2"]
+        assert by_id["lo1"].errors == (
+            "rate: no vector for MARK-LO-1",
+            "prepare: no sandbox for lo1",
+            "assess: no vector for MARK-LO-1",
+        )
+        assert by_id["lo1"].rate is None and by_id["lo1"].prepare is None and by_id["lo1"].assess is None
+        assert by_id["lo1"].pipeline_label == PIPELINE_SKIPPED
+        assert by_id["lo2"].errors == () and by_id["lo2"].rate.label == "not_runs"
+        assert by_id["lo2"].prepare is None and by_id["lo2"].pipeline_label == PIPELINE_SKIPPED
+        assert by_id["lo2"].assess is not None
+        for pid in ("hi1", "hi2"):
+            assert by_id[pid].errors == () and by_id[pid].pipeline_label == PIPELINE_RUNS
+        assert set(result.prepare_outcomes) == {"hi1", "hi2"}
+
     def test_invalid_config_aborts_before_any_stage(self, tmp_path):
         with pytest.raises(ConfigError):
             run_pipeline(PipelineConfig(rate=RateSettings(enabled=True)), [entry("a", "M")])
@@ -348,6 +396,14 @@ class TestConfigFile:
         assert config.gate is False
         assert config.seed == 9
         assert config.workers == 2
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        text = b"[embedding]\nkind = mock\nseed = 3\n\n[pipeline]\ngate = false\nworkers = 2\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_pipeline_config(marked) == load_pipeline_config(plain)
+        assert load_pipeline_config(plain).workers == 2
 
     def test_empty_sections_load_the_defaults(self, tmp_path):
         path = tmp_path / "pipe.ini"

@@ -224,6 +224,21 @@ class TestLocalSandboxEnvironment:
         assert step.exit_code == 0
         assert step.stdout_tail.strip() == "1"
 
+    def test_a_relative_workdir_gives_an_absolute_home_and_tmpdir(self, tmp_path, monkeypatch):
+        # A relative HOME or TMPDIR names nothing once a command leaves the
+        # workdir, and Python's tempfile then falls back to the host's /tmp.
+        monkeypatch.chdir(tmp_path)
+        box = open_sandbox(SandboxSpec(backend=BACKEND_LOCAL, workdir="boxes"))
+        try:
+            step = box.run('cd / && test -d "$HOME" && test -d "$TMPDIR" && echo "$HOME" && echo "$TMPDIR"'
+                           " && python3 -c 'import tempfile; print(tempfile.gettempdir())'", 10, 4096)
+        finally:
+            box.close()
+        assert step.exit_code == 0, step.stderr_tail
+        home, tmpdir, python_tmp = step.stdout_tail.splitlines()
+        assert os.path.isabs(home) and home == tmpdir == python_tmp
+        assert Path(home).parent == tmp_path / "boxes"
+
     def test_home_and_tmpdir_leave_the_workdir_as_is(self, sandbox):
         for command in ("true", "env", "python3 -c 'print(1)'"):
             assert sandbox.run(command, 10, 65536).exit_code == 0
