@@ -8,9 +8,10 @@ malformed input file (the message names it; an unknown section or key in
 the --config INI and an unknown label in --predictions count), an
 --n-train out of range, a calibration split that lacks one label class,
 an --annotations file that lacks a training paper, a --bank and --model
-that do not match and a paper annotated with a readme that has no
-readme.txt.  A corpus directory that cannot be loaded is skipped and
-named on stderr; a corpus left with no paper exits 2.
+that do not match, an input path that names a directory and a paper
+annotated with a readme that has no readme.txt.  A corpus directory that
+cannot be loaded is skipped and named on stderr; a corpus left with no
+paper exits 2.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, DegenerateLabels) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, DegenerateLabels) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

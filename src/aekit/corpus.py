@@ -104,16 +104,18 @@ def _parse_bool(raw: str, column: str, paper_id: str) -> bool | None:
 def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
     """Parse the annotation CSV; a leading UTF-8 byte-order mark is ignored.
 
-    A malformed file (not UTF-8, no paper_id header, an unparsable cell or
-    an invalid record) raises ConfigError naming it; a duplicate paper id
-    raises its subclass DuplicatePaperId.
+    A malformed file (not UTF-8, no paper_id header, an unparsable cell, an
+    invalid record or a row whose cells do not match the header's columns
+    one for one) raises ConfigError naming it; a duplicate paper id raises
+    its subclass DuplicatePaperId.  A row's cells are checked before its
+    width, which is named by the line the row ends on.
     """
     records: dict[str, GroundTruthRecord] = {}
     with checked_input(csv_path), open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             fieldnames = reader.fieldnames
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from exc
         if fieldnames is None or "paper_id" not in fieldnames:
@@ -122,7 +124,7 @@ def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
             c for c in fieldnames
             if c not in ("paper_id",) + _RUNNABILITY_COLUMNS
         ]
-        for row in rows:
+        for line, row in rows:
             paper_id = (row.get("paper_id") or "").strip()
             if not paper_id:
                 raise ValueError("row with empty paper_id")
@@ -133,13 +135,18 @@ def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
                 value = (row.get(col) or "").strip().lower()
                 if value:
                     pitfalls[col] = value
-            records[paper_id] = GroundTruthRecord(
+            record = GroundTruthRecord(
                 paper_id=paper_id,
-                code_available=_parse_bool(row.get("code_available", ""), "code_available", paper_id),
-                readme_present=_parse_bool(row.get("readme_present", ""), "readme_present", paper_id),
-                manually_runnable=_parse_bool(row.get("manually_runnable", ""), "manually_runnable", paper_id),
+                **{col: _parse_bool(row.get(col) or "", col, paper_id) for col in _RUNNABILITY_COLUMNS},
                 pitfalls=pitfalls,
             )
+            # DictReader fills a short row's cells with None and keeps a long row's rest under None.
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"the row ending on line {line} does not have one cell for each of "
+                    f"the header's {len(fieldnames)} columns"
+                )
+            records[paper_id] = record
     return records
 
 

@@ -13,13 +13,15 @@ until ``close()``.  Remote embeddings are requested in batches, each
 distinct item once per call.  With a cache directory configured they
 are also cached on disk as ``<cache_dir>/<provider_id>/<sha256>.json``,
 named by a content digest, so probing the same text twice costs one
-request; without one, no vector outlives its call.  Every row, from a
-response or a cache file, is read by the artifact codec as one ``_Row``.
-Both embedding providers JSON-encode each distinct document once per
-``embed_many`` call, however many prompts it is embedded under.  The mock
-also reuses the previous call's encodings, so the pitfall bank's
-extractions over one probe set encode each probe once; it keeps no
-vectors between calls either.
+request; without one, no vector outlives its call.  A cache key is the
+sha256 of ``canonical_dumps`` of the item's key object, and no key is
+computed without a cache directory.  Every row, from a response or a cache
+file, is read by the artifact codec as one ``_Row`` and checked before it
+is cached.  The mock JSON-encodes each distinct document once per
+``embed_many`` call, however many prompts it is embedded under, and
+reuses the previous call's encodings, so the pitfall bank's extractions
+over one probe set encode each probe once; it keeps no vectors between
+calls either.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ class EmbeddingProvider(Protocol):
     Providers may also offer ``embed_many(items) -> (n, d)`` over
     ``(system_prompt, document)`` pairs; callers that embed a block use
     it when present and fall back to one ``embed`` per item otherwise.
-    Both providers here offer it and encode each distinct document once
-    per call; the mock also reuses the previous call's encodings.
+    Both providers here offer it.  The mock encodes each distinct
+    document once per call and reuses the previous call's encodings.
     """
 
     provider_id: str
@@ -355,28 +357,12 @@ class RemoteEmbeddingProvider(_RemoteBase):
         # when embedding_dim was left unconfigured.
         self._seen_dim: int | None = cfg.embedding_dim
 
-    def _cache_keys(self, items: Sequence[tuple[str, str]]) -> list[str]:
-        """The cache key of each item, in order.
-
-        A key is the sha256 of ``canonical_dumps`` of ``{"document", "kind",
-        "model", "pooling", "system_prompt"}``.  ``"document"`` sorts first,
-        so that text is the document's one-key object up to its closing
-        brace, a comma, and the other four keys' object after its opening
-        brace.  Each distinct document is encoded and hashed once per call,
-        and each item only hashes its other four onto a copy of that state.
-        """
-        rest = {"kind": "embeddings", "model": self.cfg.model_name, "pooling": self.cfg.pooling}
-        prefixes = {}  # document -> sha256 state after its first key
-        keys = []
-        for prompt, doc in items:
-            prefix = prefixes.get(doc)
-            if prefix is None:
-                head = canonical_dumps({"document": doc})[:-1] + ","
-                prefix = prefixes[doc] = hashlib.sha256(head.encode("utf-8"))
-            digest = prefix.copy()
-            digest.update(canonical_dumps({**rest, "system_prompt": prompt})[1:].encode("utf-8"))
-            keys.append(digest.hexdigest())
-        return keys
+    def _cache_path(self, item: tuple[str, str]) -> Path:
+        """Where ``item``'s row is cached: the sha256 of ``canonical_dumps`` of its key object."""
+        prompt, doc = item
+        key = {"document": doc, "kind": "embeddings", "model": self.cfg.model_name,
+               "pooling": self.cfg.pooling, "system_prompt": prompt}
+        return self._cache_dir / f"{hashlib.sha256(canonical_dumps(key).encode('utf-8')).hexdigest()}.json"
 
     def embed(self, system_prompt: str, document: str) -> np.ndarray:
         return self.embed_many([(system_prompt, document)])[0]
@@ -386,28 +372,29 @@ class RemoteEmbeddingProvider(_RemoteBase):
 
         Each distinct item is looked up in the disk cache, if any; the
         misses are requested once each, first occurrence first, in chunks of
-        ``cfg.batch_size``.
+        ``cfg.batch_size``.  Every row is checked before it is cached, and
+        the call's block is stacked once from its rows.
         """
         if not items:
             return np.empty((0, self._seen_dim or 0))
         distinct = list(dict.fromkeys(items))
-        vectors: dict[tuple[str, str], np.ndarray] = {}
-        keys: dict[tuple[str, str], str] = {}
+        rows: dict[tuple[str, str], np.ndarray] = {}
+        paths: dict[tuple[str, str], Path] = {}
         if self._cache_dir is not None:
-            keys = dict(zip(distinct, self._cache_keys(distinct)))
-            vectors = {item: row for item in distinct if (row := self._cache_get(keys[item])) is not None}
-        misses = [item for item in distinct if item not in vectors]
+            paths = {item: self._cache_path(item) for item in distinct}
+            rows = {item: row for item in distinct if (row := self._cache_get(paths[item])) is not None}
+        misses = [item for item in distinct if item not in rows]
         step = self.cfg.batch_size
         for start in range(0, len(misses), step):
             chunk = misses[start:start + step]
-            for item, vec in zip(chunk, self._fetch([f"{p}\n\n{d}" for p, d in chunk])):
-                if self._cache_dir is not None:
-                    self._cache_put(keys[item], vec)
-                vectors[item] = vec
-        return np.array([vectors[item] for item in items])
+            rows.update(zip(chunk, self._fetch([f"{p}\n\n{d}" for p, d in chunk])))
+            if paths:
+                for item in chunk:
+                    self._cache_put(paths[item], rows[item])
+        return np.stack([rows[item] for item in items])
 
-    def _fetch(self, inputs: list[str]) -> np.ndarray:
-        """One request for ``inputs``: its rows, placed by each response item's index, as one block.
+    def _fetch(self, inputs: list[str]) -> list[np.ndarray]:
+        """One request for ``inputs``: its checked rows, placed by each response item's index.
 
         A row the codec refuses names itself, as in ``data[1].embedding[0]: expected float, got str``.
         """
@@ -422,23 +409,22 @@ class RemoteEmbeddingProvider(_RemoteBase):
                 f"response indexes {indexes} do not cover inputs 0..{len(inputs) - 1} once each"
             )
         by_index = dict(zip(indexes, _decode_at("data", tuple[_Row, ...], data)))
-        return self._block([by_index[i].embedding for i in range(len(inputs))])
+        return self._checked([by_index[i].embedding for i in range(len(inputs))])
 
-    def _block(self, rows: list[np.ndarray]) -> np.ndarray:
-        """Checked rows as one (k, d) block, of width ``cfg.embedding_dim``, else the first width seen."""
+    def _checked(self, rows: list[np.ndarray]) -> list[np.ndarray]:
+        """``rows``, each of width ``cfg.embedding_dim``, else of the first width seen."""
         for row in rows:
             self._seen_dim = self._seen_dim or row.size
             if row.size != self._seen_dim:
                 raise EmbeddingDimensionMismatch(f"expected dim {self._seen_dim}, response has {row.size}")
-        return np.stack(rows)
+        return rows
 
-    def _cache_get(self, key: str) -> np.ndarray | None:
-        """The row cached under ``key``, checked, or None if there is none.
+    def _cache_get(self, path: Path) -> np.ndarray | None:
+        """The row cached at ``path``, checked, or None if there is none.
 
         A file that is not a UTF-8 JSON object holding a row raises GatewayError, a
         refused row keeps its error's type, and each message starts ``cache file <path>:``.
         """
-        path = self._cache_dir / f"{key}.json"
         try:
             doc = json_object(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -446,15 +432,14 @@ class RemoteEmbeddingProvider(_RemoteBase):
         except (OSError, ValueError) as exc:
             raise GatewayError(f"cache file {path}: {exc}") from exc
         try:
-            return self._block([_Row.from_dict(doc).embedding])[0]
+            return self._checked([_Row.from_dict(doc).embedding])[0]
         except KeyError as exc:
             raise GatewayError(f"cache file {path}: missing field {exc}") from exc
         except (ValueError, EmbeddingDimensionMismatch) as exc:
             raise type(exc)(f"cache file {path}: {exc}") from exc
 
-    def _cache_put(self, key: str, row: np.ndarray) -> None:
-        """Cache ``row`` under ``key`` via a temp file and an atomic rename: no partial reads."""
-        path = self._cache_dir / f"{key}.json"
+    def _cache_put(self, path: Path, row: np.ndarray) -> None:
+        """Cache ``row`` at ``path`` via a temp file and an atomic rename: no partial reads."""
         with self._cache_lock:
             tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
             tmp.write_text(_Row(row).to_json(), encoding="utf-8")

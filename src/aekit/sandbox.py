@@ -73,6 +73,8 @@ class SandboxSpec:
             raise ValueError(f"network must be allowed or denied, got {self.network!r}")
         if self.network == "denied" and self.backend == BACKEND_LOCAL:
             raise ValueError("network = denied needs backend = container")
+        if self.workdir == "":
+            raise ValueError("workdir must not be empty; leave it out for the system's temporary directory")
 
 
 @dataclass(frozen=True)

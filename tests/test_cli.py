@@ -393,12 +393,15 @@ class TestConfigErrors:
              "timeout must be finite and positive, got inf"),
             ("[prepare]\nbackend = local\nnetwork = denied\n", "prepare",
              "network = denied needs backend = container"),
+            ("[prepare]\nworkdir =\n", "prepare",
+             "workdir must not be empty; leave it out for the system's temporary directory"),
         ],
         ids=["section", "embedding", "chat", "rate", "assess", "prepare", "pipeline", "kind-in-rate",
              "embedding-mock-endpoint", "chat-remote-batch-size", "chat-remote-embedding-dim",
              "chat-remote-pooling", "chat-remote-cache-dir", "embedding-kind",
              "prepare-command-timeout-inf", "prepare-command-timeout-nan", "prepare-command-timeout-zero",
-             "embedding-dim-zero", "embedding-timeout-nan", "chat-timeout-inf", "local-network-denied"],
+             "embedding-dim-zero", "embedding-timeout-nan", "chat-timeout-inf", "local-network-denied",
+             "prepare-workdir-empty"],
     )
     def test_unknown_config_section_or_key_exits_2(
         self, tmp_path, mock_corpus_path, capsys, content, section, message
@@ -622,8 +625,11 @@ class TestConfigErrors:
             (b"p099,definitely,true,true", "cannot parse boolean 'definitely'"),
             (b"p099,true,true,\xff", "can't decode byte 0xff"),
             (b"p002,true,true,true", "duplicate annotation for 'p002'"),
+            (b"p099,true", "the row ending on line 8 does not have one cell for each of the header's 8"),
+            (b"p099,true,true,true,absent,absent,absent,absent,present,extra",
+             "the row ending on line 8 does not have one cell for each of the header's 8"),
         ],
-        ids=["bad-boolean", "non-utf8", "duplicate-id"],
+        ids=["bad-boolean", "non-utf8", "duplicate-id", "short-row", "long-row"],
     )
     def test_malformed_ground_truth_exits_2(self, trained, tmp_path, capsys, command, row, message):
         root, corpus_src, config = trained
@@ -646,6 +652,43 @@ class TestConfigErrors:
         assert run_cli("--config", config, *argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {gt}: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        ["--concept", "--cutoff", "--bank", "--model", "--prompts", "--pitfalls", "--predictions",
+         "--annotations", "--ground-truth", "script"],
+    )
+    def test_an_input_path_that_names_a_directory_exits_2(self, trained, tmp_path, capsys, option):
+        root, corpus, config = trained
+        given = tmp_path / "a-directory"
+        given.mkdir()
+        out = tmp_path / "out.json"
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text('{"paper_id": "p001", "pipeline_label": "runs"}\n')
+        gt = corpus / "ground_truth.csv"
+        if option == "script":
+            (tmp_path / "pipeline.ini").write_text(config.read_text().replace(str(root / "scripts.json"), str(given)))
+            config = tmp_path / "pipeline.ini"
+        argv = {
+            "--concept": ["rate", "--corpus", corpus, "--concept", given, "--cutoff", root / "cutoff.json"],
+            "--cutoff": ["rate", "--corpus", corpus, "--concept", root / "concept.json", "--cutoff", given],
+            "--bank": ["assess", "--corpus", corpus, "--bank", given, "--model", root / "model.json"],
+            "--model": ["assess", "--corpus", corpus, "--bank", root / "bank.json", "--model", given],
+            "--prompts": ["extract-concept", "--corpus", corpus, "--n-train", "3", "--prompts", given],
+            "--pitfalls": ["assess-train", "--corpus", corpus, "--annotations", gt, "--n-train", "3",
+                           "--pitfalls", given, "--bank-out", out, "--model-out", out],
+            "--annotations": ["assess-train", "--corpus", corpus, "--annotations", given, "--n-train", "3",
+                              "--bank-out", out, "--model-out", out],
+            "--predictions": ["evaluate", "--predictions", given, "--ground-truth", gt],
+            "--ground-truth": ["evaluate", "--predictions", predictions, "--ground-truth", given],
+            "script": ["prepare", "--bundle", corpus / "p001"],
+        }[option]
+        if "--bank-out" not in argv:
+            argv += ["--out-file", out]
+        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(given) in err
         assert not out.exists()
 
     def test_annotations_without_the_training_papers_exit_2_and_write_nothing(

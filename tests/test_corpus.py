@@ -201,8 +201,16 @@ class TestGroundTruth:
             (b"paper_id,code_available,readme_present\na,false,true\n", "a readme implies available code"),
             (b"paper_id,P1\na,maybe\n", "pitfall P1: unknown annotation 'maybe'"),
             (b'paper_id,P1\na,"' + b"x" * 200_000 + b'"\n', "malformed CSV: field larger than field limit"),
+            (b"paper_id,code_available,P1\na,true\n",
+             "the row ending on line 2 does not have one cell for each of the header's 3 columns"),
+            (b"paper_id,code_available,P1\na,true,present,extra\n",
+             "the row ending on line 2 does not have one cell for each of the header's 3 columns"),
+            # An unbalanced quote swallows the rest of the file into one cell.
+            (b'paper_id,code_available,P1\n"a,true,present\nb,true,absent\n',
+             "the row ending on line 3 does not have one cell for each of the header's 3 columns"),
         ],
-        ids=["boolean", "utf8", "header", "empty-id", "record", "pitfall", "csv"],
+        ids=["boolean", "utf8", "header", "empty-id", "record", "pitfall", "csv", "short-row",
+             "long-row", "unbalanced-quote"],
     )
     def test_malformed_file_raises_config_error_naming_it(self, tmp_path, content, message):
         path = tmp_path / "gt.csv"

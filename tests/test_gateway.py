@@ -560,8 +560,8 @@ class TestBlockCheck:
         cfg = make_cfg(cache_dir=str(tmp_path / "cache"))
         RemoteEmbeddingProvider(cfg, VectorTransport()).embed_many(self.ITEMS)
         checked = []
-        block = RemoteEmbeddingProvider._block
-        monkeypatch.setattr(RemoteEmbeddingProvider, "_block", lambda self, rows: checked.extend(rows) or block(self, rows))
+        block = RemoteEmbeddingProvider._checked
+        monkeypatch.setattr(RemoteEmbeddingProvider, "_checked", lambda self, rows: checked.extend(rows) or block(self, rows))
         RemoteEmbeddingProvider(cfg, FakeTransport([])).embed_many(self.ITEMS * 2)
         assert len(checked) == len(self.ITEMS)
 

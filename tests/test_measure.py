@@ -1,4 +1,3 @@
-import hashlib
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from aekit.measure import (
     score_documents,
 )
 
-from conftest import CountingMockProvider, FixedEmbeddingProvider, VectorTransport, document_encodings
+from conftest import CountingMockProvider, FixedEmbeddingProvider, VectorTransport
 
 
 def oracle_leading_direction(deltas):
@@ -307,16 +306,6 @@ class TestExtractionCalls:
         extract_concept_vector(self.PROBES, PAIR, provider)
         # ceil(80 / 32) requests; one call per pole would need 2 * ceil(40 / 32) = 4.
         assert [len(r) for r in transport.requests] == [32, 32, 16]
-
-    @pytest.mark.parametrize("index", [0, 39])
-    def test_remote_cache_keys_encode_each_probe_once(self, monkeypatch, tmp_path, index):
-        transport = VectorTransport(dim=8)
-        # mock_embed would count too.
-        transport.vector = lambda text: np.frombuffer(hashlib.sha256(text.encode()).digest()[:8], np.uint8) / 255
-        provider = remote_provider(monkeypatch, transport, cache_dir=str(tmp_path / "cache"))
-        probe = self.PROBES.probes[index]
-        call = lambda: extract_concept_vector(self.PROBES, PAIR, provider)  # noqa: E731
-        assert document_encodings(monkeypatch, probe, call) == 1
 
 
 class TestProjectScore:

@@ -9,7 +9,7 @@ import pytest
 from aekit import pipeline
 from aekit.assess import AssessorModel, PitfallBank, PitfallBankEntry, PitfallClassifier, STATUS_SKIPPED
 from aekit.cli import EXIT_OK, main as cli_main
-from aekit.corpus import CorpusEntry, GroundTruthRecord
+from aekit.corpus import CorpusEntry, GroundTruthRecord, load_corpus
 from aekit.gateway import (
     ChatMessage,
     MockEmbeddingProvider,
@@ -43,7 +43,7 @@ from aekit.prepare import AgentTranscript, OUTCOME_SUCCESS, PrepareLimits, Prepa
 from aekit.rate import Cutoff
 from aekit.sandbox import SandboxSpec
 
-from conftest import CountingMockProvider, done_message, run_message, train_pipeline_assets
+from conftest import CountingMockProvider, VectorTransport, done_message, run_message, train_pipeline_assets
 
 
 class MarkerProvider:
@@ -571,6 +571,28 @@ class TestReruns:
         assert runs[0] and runs[0] == runs[1]
         refs = [json.loads(text)["snapshot_ref"] for text in runs[0].values()]
         assert any(ref is not None and os.path.isfile(ref) for ref in refs), "no paper was snapshotted"
+
+    def test_a_warm_disk_cache_sends_no_request_and_changes_no_report_byte(
+        self, tmp_path, mock_corpus_path, prepare_scripts_path, monkeypatch
+    ):
+        corpus, config_path = train_pipeline_assets(tmp_path, mock_corpus_path, prepare_scripts_path)
+        config = load_pipeline_config(config_path)
+        config = replace(config, prepare=replace(config.prepare, enabled=False))
+        entries = load_corpus(corpus).entries
+        ground_truth = {e.paper_id: e.ground_truth for e in entries}
+        monkeypatch.setenv("AEKIT_TEST_TOKEN", "t")
+
+        def reports_jsonl(cache_dir):
+            transport = VectorTransport(dim=48)
+            cfg = ProviderConfig("http://fake.test", "m", auth_token_env="AEKIT_TEST_TOKEN", cache_dir=cache_dir)
+            result = run_pipeline(config, entries, RemoteEmbeddingProvider(cfg, transport))
+            return render_report(result.reports, ground_truth)[1], len(transport.requests)
+
+        uncached, sent = reports_jsonl(None)
+        assert sent > 0
+        cache_dir = str(tmp_path / "cache")
+        assert reports_jsonl(cache_dir) == (uncached, sent)
+        assert reports_jsonl(cache_dir) == (uncached, 0)
 
 
 class ClosingMarkerProvider(MarkerProvider):

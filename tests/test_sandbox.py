@@ -502,6 +502,11 @@ class TestSandboxSpec:
             SandboxSpec(backend=backend, network="denied")
         assert SandboxSpec(backend=BACKEND_CONTAINER, network="denied").network == "denied"
 
+    def test_an_empty_workdir_is_refused(self):
+        # An empty directory name would put sandboxes and snapshots in the current directory.
+        with pytest.raises(ValueError, match="^workdir must not be empty"):
+            SandboxSpec(workdir="")
+
     def test_default_base_image_is_cuda_ubuntu(self):
         spec = SandboxSpec()
         assert "cuda" in spec.base_image and "ubuntu22.04" in spec.base_image
