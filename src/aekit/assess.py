@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonio import Artifact, checked_input, json_object, read_text
+from .jsonio import Artifact, check_version, checked_input, json_object, read_text
 from .measure import (
     ConceptVector,
     ProbeSet,
@@ -93,7 +93,8 @@ def load_pitfall_specs(path: str | None = None) -> list[PitfallSpec]:
     """Pitfall prompt bank from a JSON file, defaulting to the shipped asset."""
     with checked_input(f"pitfalls {path or 'asset'}"):
         asset = resources.files("aekit.assets").joinpath("pitfalls.json")
-        text = asset.read_text("utf-8") if path is None else read_text(path)
+        doc = json_object(asset.read_text("utf-8") if path is None else read_text(path))
+        check_version(doc.get("version", 1), "pitfalls")
         specs = [
             PitfallSpec(
                 pitfall_id=item["pitfall_id"],
@@ -102,7 +103,7 @@ def load_pitfall_specs(path: str | None = None) -> list[PitfallSpec]:
                     {**item, "concept_name": f"pitfall-{item['pitfall_id']}-{item['name']}"}
                 ),
             )
-            for item in json_object(text)["pitfalls"]
+            for item in doc["pitfalls"]
         ]
         if len({s.pitfall_id for s in specs}) != len(specs):
             raise ValueError("pitfall_ids must be unique")

@@ -104,11 +104,11 @@ def _parse_bool(raw: str, column: str, paper_id: str) -> bool | None:
 def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
     """Parse the annotation CSV; a leading UTF-8 byte-order mark is ignored.
 
-    A malformed file (not UTF-8, no paper_id header, an unparsable cell, an
-    invalid record or a row whose cells do not match the header's columns
-    one for one) raises ConfigError naming it; a duplicate paper id raises
-    its subclass DuplicatePaperId.  A row's cells are checked before its
-    width, which is named by the line the row ends on.
+    A malformed file (not UTF-8, no paper_id header, a blank or repeated
+    column name, an unparsable cell, an invalid record or a row whose cells
+    do not match the header's columns one for one) raises ConfigError naming
+    it; a duplicate paper id raises its subclass DuplicatePaperId.  A row's
+    cells are checked before its width, which is named by the line it ends on.
     """
     records: dict[str, GroundTruthRecord] = {}
     with checked_input(csv_path), open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -120,6 +120,10 @@ def load_ground_truth(csv_path: Path) -> dict[str, GroundTruthRecord]:
             raise ValueError(f"malformed CSV: {exc}") from exc
         if fieldnames is None or "paper_id" not in fieldnames:
             raise ValueError("header row with paper_id column is mandatory")
+        for i, column in enumerate(fieldnames):
+            if not column.strip() or column in fieldnames[:i]:
+                problem = "blank" if not column.strip() else f"a second {column!r}"
+                raise ValueError(f"header column {i + 1} is {problem}")
         pitfall_columns = [
             c for c in fieldnames
             if c not in ("paper_id",) + _RUNNABILITY_COLUMNS

@@ -12,8 +12,10 @@ keys, and checks each value's JSON type: ``bool`` takes only a boolean,
 and only an ``X | None`` field takes null.  A mismatch or a missing nested
 field raises :class:`FieldError` with the path from the document's root,
 such as ``steps[3].exit_code: expected int, got bool``; a missing top-level
-field raises KeyError naming it.  A class with a ``KIND`` also writes and
-requires ``"version": 1``; its errors name the kind.
+field raises KeyError naming it.  One version rule, :func:`check_version`,
+holds for every class: one with a ``KIND`` writes ``"version": VERSION``
+and reads 1 to ``VERSION``, naming the kind in its errors; any other
+checks a ``version`` only where the document has one.
 
 Files from outside the program are read inside :func:`checked_input`, which
 turns a malformed file into ConfigError naming it, or with
@@ -69,6 +71,7 @@ class Artifact:
 
     # The kind a versioned format names in its errors; None writes no version.
     KIND: str | None = None
+    VERSION = 1  # the version a class with a KIND writes; reading takes 1 to it
 
     def __eq__(self, other: object) -> bool:
         """Same type and same ``to_dict()``; a class declared ``eq=False`` compares so."""
@@ -79,16 +82,14 @@ class Artifact:
     def to_dict(self) -> dict:
         doc = {name: _encode(getattr(self, name)) for name, _ in _fields(type(self))}
         if self.KIND is not None:
-            doc["version"] = 1
+            doc["version"] = self.VERSION
         return doc
 
     @classmethod
     def from_dict(cls, doc: Any):
         if not isinstance(doc, dict):
             raise ValueError(f"{cls.KIND or cls.__name__} is not a JSON object")
-        version = doc.get("version")
-        if cls.KIND is not None and (type(version) is not int or version != 1):
-            raise ValueError(f"unsupported {cls.KIND} version: {version}")
+        check_version(doc.get("version", None if cls.KIND else 1), cls.KIND or cls.__name__, cls.VERSION)
         return cls(**{name: _decode_at(name, hint, doc[name]) for name, hint in _fields(cls)})
 
     def to_json(self) -> str:
@@ -97,6 +98,12 @@ class Artifact:
     @classmethod
     def from_json(cls, text: str):
         return cls.from_dict(json.loads(text))
+
+
+def check_version(version: Any, what: str, newest: int = 1) -> None:
+    """ValueError unless ``version`` is an int from 1 to ``newest``."""
+    if type(version) is not int or not 1 <= version <= newest:
+        raise ValueError(f"unsupported {what} version: {version}")
 
 
 @functools.cache

@@ -18,11 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .jsonio import Artifact, FieldError
+from .jsonio import Artifact
 
 if TYPE_CHECKING:
     from .gateway import EmbeddingProvider
@@ -39,8 +39,6 @@ SCORE_CHUNK = 1024
 # ulps of the matrix's largest absolute column sum.
 LANCZOS_CHECK_EVERY = 8
 LANCZOS_TOL_ULPS = 4.0
-
-SIGN_CONVENTION_MEAN_POSITIVE = "mean-positive"
 
 
 class DimensionMismatch(ValueError):
@@ -244,21 +242,21 @@ def first_principal_component(deltas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConceptVector(Artifact):
-    """A distilled unit direction plus the provenance needed to reuse it.
+    """A unit direction plus the provenance needed to reuse it; its file is its fields.
 
-    Scores computed against a ConceptVector are only comparable when
-    provider_id and prompt_digest match, which is why both are carried
-    along and recorded in every verdict downstream.
+    Scores are only comparable when provider_id and prompt_digest match,
+    so both are recorded in every verdict downstream.  Version 1 files
+    also hold ``dim`` and ``sign_convention``, which reading ignores.
     """
 
     KIND = "concept vector"
+    VERSION = 2
 
     direction: np.ndarray
     concept_name: str
     provider_id: str
     prompt_digest: str
     probe_count: int
-    sign_convention: str = SIGN_CONVENTION_MEAN_POSITIVE
 
     def __post_init__(self) -> None:
         vec = as_embedding(self.direction)
@@ -271,17 +269,6 @@ class ConceptVector(Artifact):
     @property
     def dim(self) -> int:
         return int(self.direction.size)
-
-    def to_dict(self) -> dict:
-        """The fields, plus ``dim``, the direction's length, which :meth:`from_dict` checks."""
-        return {**super().to_dict(), "dim": self.dim}
-
-    @classmethod
-    def from_dict(cls, doc: Any) -> "ConceptVector":
-        concept = super().from_dict(doc)
-        if type(doc["dim"]) is not int or doc["dim"] != concept.dim:
-            raise FieldError(f"dim: expected {concept.dim}, the direction's length, got {doc['dim']!r}")
-        return concept
 
 
 def extract_concept_vector(

@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from aekit.assess import (
     train_assessor,
 )
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
+from aekit.jsonio import ConfigError
 from aekit.measure import ConceptVector, ProbeSet, PromptPair, project_score
 
 from conftest import CountingMockProvider, FixedEmbeddingProvider, VectorTransport, document_encodings
@@ -125,6 +128,18 @@ class TestBuildBank:
         specs = load_pitfall_specs()
         assert len(specs) == 10
         assert len({s.pitfall_id for s in specs}) == 10
+
+    @pytest.mark.parametrize("version", [1, None, 2, 0, "1"], ids=["1", "absent", "2", "0", "string"])
+    def test_a_pitfalls_file_is_version_1_or_has_no_version(self, tmp_path, version):
+        doc = json.loads(resources.files("aekit.assets").joinpath("pitfalls.json").read_text("utf-8"))
+        doc = {**doc, "version": version} if version is not None else {"pitfalls": doc["pitfalls"]}
+        path = tmp_path / "pitfalls.json"
+        path.write_text(json.dumps(doc))
+        if version in (1, None):
+            assert load_pitfall_specs(str(path)) == load_pitfall_specs()
+        else:
+            with pytest.raises(ConfigError, match=f"^pitfalls {path}: unsupported pitfalls version: {version}$"):
+                load_pitfall_specs(str(path))
 
 
 class TestFeaturize:

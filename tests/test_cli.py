@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from aekit import cli
+from aekit.assess import AssessorModel, PitfallBank
 from aekit.cli import EXIT_CONFIG, EXIT_OK, main
 from aekit.gateway import MockEmbeddingProvider, ProviderConfig, RemoteEmbeddingProvider
+from aekit.measure import ConceptVector
 from aekit.pipeline import build_chat_factory
 from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
+from aekit.rate import Cutoff
 
-from conftest import DELETE, VectorTransport, edited
+from conftest import VectorTransport, edited
 
 
 DATA = Path(__file__).parent / "data"
@@ -104,7 +107,7 @@ class TestAssetCommands:
         tmp_path, corpus, config = workspace
         build_assets(tmp_path, corpus, config)
         concept = json.loads((tmp_path / "concept.json").read_text())
-        assert concept["dim"] == 48
+        assert len(concept["direction"]) == 48
         assert concept["probe_count"] == 3
         cutoff = json.loads((tmp_path / "cutoff.json").read_text())
         assert cutoff["train_recall"] == 1.0
@@ -518,10 +521,10 @@ class TestConfigErrors:
         [
             ("[]", "is not a JSON object"),
             ("{bad", "is not valid JSON"),
-            ('{"version": 2}', "unsupported {kind} version: 2"),
+            ('{"version": NEWER}', "unsupported {kind} version: {newer}"),
             ('{"version": 1}', "missing field"),
         ],
-        ids=["array", "json", "version-2", "no-fields"],
+        ids=["array", "json", "newer-version", "no-fields"],
     )
     def test_malformed_artifact_exits_2(
         self, trained, tmp_path, capsys, command, artifact, content, message
@@ -529,7 +532,8 @@ class TestConfigErrors:
         root, corpus, config = trained
         files = {name: root / f"{name}.json" for name in ("concept", "cutoff", "bank", "model")}
         files[artifact] = given = tmp_path / f"{artifact}.json"
-        given.write_text(content)
+        cls = {"concept": ConceptVector, "cutoff": Cutoff, "bank": PitfallBank, "model": AssessorModel}[artifact]
+        given.write_text(content.replace("NEWER", str(cls.VERSION + 1)))
         out = tmp_path / "out"
         if command == "pipeline":
             text = config.read_text().replace(str(root / f"{artifact}.json"), str(given))
@@ -547,7 +551,7 @@ class TestConfigErrors:
         assert err.startswith("configuration error: ") and str(given) in err
         kind = {"concept": "concept vector", "cutoff": "cutoff", "bank": "pitfall bank",
                 "model": "assessor model"}[artifact]
-        assert message.format(kind=kind) in err
+        assert message.format(kind=kind, newer=cls.VERSION + 1) in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -557,6 +561,8 @@ class TestConfigErrors:
             ("--prompts", '{"positive": "a"}', "missing field 'negative'"),
             ("--prompts", '{"positive": 5, "negative": "b", "neutral": "c", "concept_name": "d"}',
              "positive: expected str, got int"),
+            ("--prompts", '{"version": 7, "positive": "a", "negative": "b", "neutral": "c", "concept_name": "d"}',
+             "unsupported PromptPair version: 7"),
             ("--pitfalls", "{bad", "is not valid JSON"),
             ("--pitfalls", "[]", "is not a JSON object"),
             ("--pitfalls", '{"pitfalls": [{"pitfall_id": "P1", "positive": "a", "negative": "b", '
@@ -565,12 +571,15 @@ class TestConfigErrors:
                            '"neutral": "c"}]}', "pitfall_id must be a string, got 3"),
             ("--pitfalls", '{"pitfalls": [{"pitfall_id": "P1", "name": 5, "positive": "a", "negative": "b", '
                            '"neutral": "c"}]}', "name must be a string, got 5"),
+            ("--pitfalls", '{"version": 7, "pitfalls": [{"pitfall_id": "P1", "name": "n", "positive": "a", '
+                           '"negative": "b", "neutral": "c"}]}', "unsupported pitfalls version: 7"),
             ("script", "{bad", "is not valid JSON"),
             ("script", b"\xff\xfe{}", "can't decode byte 0xff"),
             ("script", '{"*": "ab"}', "every script must be a list of strings"),
         ],
-        ids=["prompts-json", "prompts-no-negative", "prompts-positive-int", "pitfalls-json",
-             "pitfalls-array", "pitfalls-no-name", "pitfalls-id-int", "pitfalls-name-int",
+        ids=["prompts-json", "prompts-no-negative", "prompts-positive-int", "prompts-version",
+             "pitfalls-json", "pitfalls-array", "pitfalls-no-name", "pitfalls-id-int", "pitfalls-name-int",
+             "pitfalls-version",
              "chat-script-json", "chat-script-utf8", "chat-script-string"],
     )
     def test_malformed_prompt_or_script_file_exits_2(
@@ -628,15 +637,20 @@ class TestConfigErrors:
             (b"p099,true", "the row ending on line 8 does not have one cell for each of the header's 8"),
             (b"p099,true,true,true,absent,absent,absent,absent,present,extra",
              "the row ending on line 8 does not have one cell for each of the header's 8"),
+            # A pair of bytes rewrites the header instead.
+            ((b",P3,", b",P2,"), "header column 7 is a second 'P2'"),
+            ((b",P3,", b",,"), "header column 7 is blank"),
         ],
-        ids=["bad-boolean", "non-utf8", "duplicate-id", "short-row", "long-row"],
+        ids=["bad-boolean", "non-utf8", "duplicate-id", "short-row", "long-row", "repeated-column",
+             "blank-column"],
     )
     def test_malformed_ground_truth_exits_2(self, trained, tmp_path, capsys, command, row, message):
         root, corpus_src, config = trained
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_src, corpus)
         gt = corpus / "ground_truth.csv"
-        gt.write_bytes(gt.read_bytes() + row + b"\n")
+        text = gt.read_bytes()
+        gt.write_bytes(text.replace(*row) if isinstance(row, tuple) else text + row + b"\n")
         out = tmp_path / "out"
         argv = {
             "evaluate": ["evaluate", "--predictions", tmp_path / "none.jsonl", "--ground-truth", gt,
@@ -812,13 +826,9 @@ class TestStageCommands:
             ("rate", "concept", ("direction", 3), "0.1", "direction[3]: expected float, got str"),
             ("pipeline", "bank", ("entries", 1, "concept"), [], "entries[1].concept: expected object, got array"),
             ("rate", "concept", ("probe_count",), None, "probe_count: expected int, got null"),
-            ("pipeline", "concept", ("dim",), 47, "dim: expected 48, the direction's length, got 47"),
-            ("assess", "bank", ("entries", 0, "concept", "dim"), True,
-             "entries[0].concept.dim: expected 48, the direction's length, got True"),
-            ("rate", "concept", ("sign_convention",), DELETE, "missing field 'sign_convention'"),
         ],
         ids=["int-bool", "int-float", "float-str", "float-nan", "version-bool", "str", "nested-int",
-             "tuple", "direction-entry", "nested-object", "null", "dim", "nested-dim", "no-sign"],
+             "tuple", "direction-entry", "nested-object", "null"],
     )
     def test_a_wrong_typed_artifact_exits_2_naming_the_field(
         self, trained, tmp_path, capsys, command, artifact, path, value, message

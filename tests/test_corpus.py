@@ -208,9 +208,12 @@ class TestGroundTruth:
             # An unbalanced quote swallows the rest of the file into one cell.
             (b'paper_id,code_available,P1\n"a,true,present\nb,true,absent\n',
              "the row ending on line 3 does not have one cell for each of the header's 3 columns"),
+            (b"paper_id,code_available,P1,P1\na,true,present,absent\n", "header column 4 is a second 'P1'"),
+            (b"paper_id,code_available,,P2\na,true,present,absent\n", "header column 3 is blank"),
+            (b"paper_id, ,P2\na,present,absent\n", "header column 2 is blank"),
         ],
         ids=["boolean", "utf8", "header", "empty-id", "record", "pitfall", "csv", "short-row",
-             "long-row", "unbalanced-quote"],
+             "long-row", "unbalanced-quote", "repeated-column", "blank-column", "space-column"],
     )
     def test_malformed_file_raises_config_error_naming_it(self, tmp_path, content, message):
         path = tmp_path / "gt.csv"

@@ -102,20 +102,23 @@ def test_an_artifact_with_an_array_field_compares_by_its_document():
     assert row != _Row(np.array([0.5, 2.0])) and row != [0.5, 1.0]
 
 
-def test_only_concept_vector_overrides_the_codec_and_only_for_dim():
+def test_no_class_but_artifact_spells_the_codec():
     spelled = {
         cls for cls in aekit_classes()
-        if cls is not Artifact and {"to_dict", "from_dict", "to_json", "from_json"} & set(vars(cls))
+        if {"to_dict", "from_dict", "to_json", "from_json"} & set(vars(cls))
     }
-    assert spelled == {ConceptVector}
+    assert spelled == {Artifact}
+
+
+def test_a_version_1_concept_loads_and_its_dropped_keys_are_ignored():
     concept = sample_artifacts()[ConceptVector]
     doc = concept.to_dict()
-    assert doc == {**Artifact.to_dict(concept), "dim": 2}
-    assert ConceptVector.from_dict(doc) == Artifact.from_dict.__func__(ConceptVector, doc) == concept
-    with pytest.raises(FieldError, match=r"^dim: expected 2, the direction's length, got True$"):
-        ConceptVector.from_dict({**doc, "dim": True})
-    with pytest.raises(KeyError, match="dim"):
-        ConceptVector.from_dict({k: v for k, v in doc.items() if k != "dim"})
+    assert doc["version"] == ConceptVector.VERSION == 2
+    assert not {"dim", "sign_convention"} & set(doc)
+    v1 = {**doc, "version": 1, "dim": 2, "sign_convention": "mean-positive"}
+    assert ConceptVector.from_dict(v1) == concept
+    bank = sample_artifacts()[PitfallBank]
+    assert PitfallBank.from_dict(edited(bank.to_dict(), ("entries", 0, "concept"), v1)) == bank
 
 
 def test_the_codec_coerces_numbers_and_requires_every_field():
@@ -147,8 +150,11 @@ def test_the_codec_coerces_numbers_and_requires_every_field():
     ],
 )
 def test_versioned_artifacts_reject_other_versions_and_non_objects(cls, kind):
-    with pytest.raises(ValueError, match=f"^unsupported {kind} version: 2$"):
-        cls.from_json('{"version": 2}')
+    for version in (0, cls.VERSION + 1, None, "1"):
+        with pytest.raises(ValueError, match=f"^unsupported {kind} version: {version}$"):
+            cls.from_json(json.dumps({"version": version}))
+    with pytest.raises(ValueError, match=f"^unsupported {kind} version: None$"):
+        cls.from_json("{}")
     with pytest.raises(ValueError, match=f"^{kind} is not a JSON object$"):
         cls.from_json("[]")
 
@@ -181,8 +187,6 @@ def test_versioned_artifacts_reject_other_versions_and_non_objects(cls, kind):
          "entries[0].concept.direction[1]: expected float, got str"),
         (PitfallBank, ("entries", 0, "concept", "direction"), [[0.6, -0.8]],
          "entries[0].concept.direction[0]: expected float, got array"),
-        (PitfallBank, ("entries", 0, "concept", "dim"), 3,
-         "entries[0].concept.dim: expected 2, the direction's length, got 3"),
         (ConceptVector, ("probe_count",), 3.0, "probe_count: expected int, got float"),
         (ConceptVector, ("direction", 0), math.nan, "direction[0]: expected a finite float, got nan"),
         (ConceptVector, ("direction", 1), True, "direction[1]: expected float, got bool"),
@@ -198,7 +202,7 @@ def test_the_reader_refuses_a_value_of_the_wrong_json_type(cls, path, value, mes
 
 @pytest.mark.parametrize(
     "cls, path",
-    [(ConceptVector, ("sign_convention",)), (PitfallBank, ("entries", 0, "concept", "probe_count")),
+    [(ConceptVector, ("probe_count",)), (PitfallBank, ("entries", 0, "concept", "probe_count")),
      (PitfallBank, ("entries", 0, "neutral_prompt"))],
 )
 def test_the_reader_requires_every_field_at_any_depth(cls, path):
@@ -210,3 +214,12 @@ def test_the_reader_requires_every_field_at_any_depth(cls, path):
     with pytest.raises(error) as caught:
         cls.from_dict(edited(sample_artifacts()[cls].to_dict(), path, DELETE))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cls", [PromptPair, PitfallBankEntry, _Row])
+def test_an_artifact_without_a_kind_checks_a_version_only_where_there_is_one(cls):
+    doc = sample_artifacts()[cls].to_dict()
+    assert "version" not in doc
+    assert cls.from_dict({**doc, "version": 1}) == cls.from_dict(doc)
+    with pytest.raises(ValueError, match=f"^unsupported {cls.__name__} version: 2$"):
+        cls.from_dict({**doc, "version": 2})

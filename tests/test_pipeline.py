@@ -8,7 +8,7 @@ import pytest
 
 from aekit import pipeline
 from aekit.assess import AssessorModel, PitfallBank, PitfallBankEntry, PitfallClassifier, STATUS_SKIPPED
-from aekit.cli import EXIT_OK, main as cli_main
+from aekit.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
 from aekit.corpus import CorpusEntry, GroundTruthRecord, load_corpus
 from aekit.gateway import (
     ChatMessage,
@@ -593,6 +593,40 @@ class TestReruns:
         cache_dir = str(tmp_path / "cache")
         assert reports_jsonl(cache_dir) == (uncached, sent)
         assert reports_jsonl(cache_dir) == (uncached, 0)
+
+
+class TestPreviousFormats:
+    def test_version_1_concept_and_bank_files_give_the_same_outputs(
+        self, tmp_path, mock_corpus_path, prepare_scripts_path, capsys
+    ):
+        corpus, config_path = train_pipeline_assets(tmp_path, mock_corpus_path, prepare_scripts_path)
+
+        def outputs(name):
+            shutil.rmtree(tmp_path / "boxes", ignore_errors=True)
+            argv = ["--config", str(config_path), "--out", str(tmp_path / name), "pipeline", "--corpus", str(corpus)]
+            assert cli_main(argv) == EXIT_OK
+            return [(tmp_path / name / f).read_bytes() for f in ("reports.jsonl", "summary.txt")]
+
+        def as_v1(concept):
+            assert concept["version"] == 2 and not {"dim", "sign_convention"} & set(concept)
+            dim = len(concept["direction"])
+            return {**concept, "dim": dim, "sign_convention": "mean-positive", "version": 1}
+
+        current = outputs("v2")
+        concept_path, bank_path = tmp_path / "concept.json", tmp_path / "bank.json"
+        concept_path.write_text(json.dumps(as_v1(json.loads(concept_path.read_text()))))
+        bank = json.loads(bank_path.read_text())
+        bank["entries"] = [{**e, "concept": as_v1(e["concept"])} for e in bank["entries"]]
+        bank_path.write_text(json.dumps(bank))
+        assert outputs("v1") == current
+
+        concept_path.write_text(json.dumps({**json.loads(concept_path.read_text()), "version": 3}))
+        argv = ["--config", str(config_path), "--out", str(tmp_path / "v3"), "pipeline", "--corpus", str(corpus)]
+        capsys.readouterr()
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {concept_path}: unsupported concept vector version: 3\n"
+        assert not (tmp_path / "v3").exists()
 
 
 class ClosingMarkerProvider(MarkerProvider):
