@@ -8,8 +8,11 @@ mechanically (the last command must exit 0), never trusted from the
 model, and a successful sandbox is archived as a snapshot.
 
 This demo replays scripted agent messages, so it runs without any model.
+Its temporary work directory, snapshots included, is removed on exit.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from aekit.prepare import ArtifactBundle, PrepareLimits, run_prepare_loop
 from aekit.sandbox import SandboxSpec
 
 workdir = Path(tempfile.mkdtemp(prefix="aekit-demo-"))
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 
 # A tiny "artifact repository" to set up.
 repo = workdir / "toy-repo"
@@ -42,7 +46,7 @@ def replay(title, script):
         print(f"  step {i}: {step.command!r} -> exit {step.exit_code}")
     print(f"  outcome: {outcome.status}")
     if outcome.snapshot_ref:
-        print(f"  snapshot: {outcome.snapshot_ref}")
+        print(f"  snapshot: {Path(outcome.snapshot_ref).name}")
     if outcome.error_report:
         print(f"  failed command: {outcome.error_report.failed_command!r} "
               f"(exit {outcome.error_report.exit_code})")

@@ -5,7 +5,9 @@ Flow: distill a reproducibility concept vector from a seeded training
 split, calibrate the runs/not-runs cutoff on the same split, build the
 pitfall bank and classifiers, then run rate -> gate -> prepare -> assess
 over the whole corpus.  Everything is deterministic: mock embeddings,
-scripted agent replies, fixed seed.
+scripted agent replies, fixed seed.  The work directory, a temporary
+directory holding the trained assets, sandboxes and outputs, is removed
+on exit.
 
 Equivalent CLI session (from the repository root):
 
@@ -19,6 +21,8 @@ Equivalent CLI session (from the repository root):
     aekit --config pipeline.ini --out out pipeline --corpus tests/data/mock_corpus
 """
 
+import atexit
+import json
 import shutil
 import sys
 import tempfile
@@ -31,6 +35,7 @@ CORPUS = REPO_ROOT / "tests" / "data" / "mock_corpus"
 SCRIPTS = REPO_ROOT / "tests" / "data" / "prepare_scripts.json"
 
 work = Path(tempfile.mkdtemp(prefix="aekit-pipeline-demo-"))
+atexit.register(shutil.rmtree, work, ignore_errors=True)
 corpus = work / "corpus"
 shutil.copytree(CORPUS, corpus)
 scripts = work / "scripts.json"
@@ -90,12 +95,11 @@ run("--config", config, "--out", work / "out", "pipeline", "--corpus", corpus)
 
 print("per-paper verdicts (reports.jsonl):")
 for line in (work / "out" / "reports.jsonl").read_text().strip().splitlines():
-    import json
-
     doc = json.loads(line)
     rate = doc["rate"]["label"] if doc["rate"] else "-"
     prepare = doc["prepare"]["outcome"] if doc["prepare"] else "-"
     print(f"  {doc['paper_id']}: rate={rate:9} prepare={prepare:17} "
           f"pipeline={doc['pipeline_label']}")
 
-print(f"\nartifacts under {work}/out (reports.jsonl, summary.txt, transcripts/)")
+print("\nsummary.txt:")
+print((work / "out" / "summary.txt").read_text(), end="")

@@ -46,7 +46,7 @@ from .measure import (
     project_score,
     score_documents,
 )
-from .metrics import ConfusionMatrix, MetricSet, count_confusion, f_beta, from_percentages, metric_set
+from .metrics import ConfusionMatrix, MetricSet, f_beta, from_percentages, metric_set, paired_confusion
 from .pipeline import (
     PipelineConfig,
     VerdictReport,

@@ -45,7 +45,7 @@ from .corpus import (
 )
 from .jsonio import checked_input, dumps_jsonl, json_object, load_artifact, write_text
 from .measure import MIN_PROBES, ConceptVector, ProbeSet, PromptPair, extract_concept_vector, score_documents
-from .metrics import count_confusion, metric_set, render_confusion_table
+from .metrics import metric_set, paired_confusion, render_confusion_table
 from .pipeline import (
     PIPELINE_NOT_RUNS,
     PIPELINE_RUNS,
@@ -271,8 +271,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_evaluate(args) -> int:
     ground_truth = load_ground_truth(Path(args.ground_truth))
     labels = _EVALUATED_LABELS[args.field]
-    pairs = []
-    seen: set[str] = set()
+    predicted: dict[str, bool | None] = {}
     with checked_input(f"predictions {args.predictions}"), open(args.predictions, encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -282,11 +281,12 @@ def _cmd_evaluate(args) -> int:
             paper_id = doc.get("paper_id")
             if paper_id is None:
                 raise ValueError(f"line {number} has no paper_id")
-            if paper_id in seen:
+            if not isinstance(paper_id, str):
+                raise ValueError(f"line {number} has paper_id {paper_id!r}, which is not a string")
+            if paper_id in predicted:
                 raise ValueError(f"predictions name paper {paper_id!r} more than once")
-            seen.add(paper_id)
             if args.field == "rate":
-                rate = doc.get("rate") or {}
+                rate = {} if doc.get("rate") is None else doc["rate"]
                 if not isinstance(rate, dict):
                     raise ValueError(f"line {number} has a rate that is not a JSON object")
                 label = doc.get("label", rate.get("label"))
@@ -294,10 +294,8 @@ def _cmd_evaluate(args) -> int:
                 label = doc.get("pipeline_label")
             if label is not None and label not in labels:
                 raise ValueError(f"line {number} has label {label!r}")
-            record = ground_truth.get(paper_id)
-            if label is not None and record is not None and record.manually_runnable is not None:
-                pairs.append((label == labels[0], record.manually_runnable))
-    cm = count_confusion(pairs)
+            predicted[paper_id] = None if label is None else label == labels[0]
+    cm = paired_confusion(predicted, {pid: record.manually_runnable for pid, record in ground_truth.items()})
     if cm.total == 0:
         raise ConfigError("no prediction lines matched annotated papers")
     ms = metric_set(cm)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping
 
 from .jsonio import Artifact
 
@@ -60,10 +60,19 @@ class MetricSet(Artifact):
     f2: float | None
 
 
-def count_confusion(pairs: Iterable[tuple[bool, bool]]) -> ConfusionMatrix:
-    """Tally (predicted_runs, actually_runs) pairs into a confusion matrix."""
+def paired_confusion(
+    predicted: Mapping[str, bool | None], actual: Mapping[str, bool | None]
+) -> ConfusionMatrix:
+    """Each paper's predicted runs/not-runs against its annotation, paired by paper id.
+
+    A paper counts only when both sides hold a label for it; a paper
+    missing from either mapping, or None on either side, is left out.
+    """
     tp = fp = fn = tn = 0
-    for predicted_runs, actually_runs in pairs:
+    for paper_id, predicted_runs in predicted.items():
+        actually_runs = actual.get(paper_id)
+        if predicted_runs is None or actually_runs is None:
+            continue
         if predicted_runs and actually_runs:
             tp += 1
         elif predicted_runs:

@@ -39,7 +39,7 @@ from .gateway import (
 from .jsonio import Artifact, ConfigError, checked_input, dumps_jsonl, json_object
 from .jsonio import load_artifact, read_text
 from .measure import ConceptVector
-from .metrics import ConfusionMatrix, count_confusion, metric_set, render_confusion_table
+from .metrics import metric_set, paired_confusion, render_confusion_table
 from .prepare import (
     OUTCOME_SUCCESS,
     ArtifactBundle,
@@ -422,25 +422,6 @@ def run_pipeline(
         return PipelineResult(reports=reports, prepare_outcomes=outcomes)
 
 
-def pipeline_confusion(
-    reports: Sequence[VerdictReport],
-    ground_truth: dict[str, GroundTruthRecord],
-) -> ConfusionMatrix | None:
-    """Pipeline labels vs manual runnability.
-
-    Gate-skipped papers count as predicted not-runnable (nothing was
-    executed for them, which is the gate's prediction).  Papers without a
-    runnability annotation are ignored.
-    """
-    pairs = []
-    for report in reports:
-        record = ground_truth.get(report.paper_id)
-        if record is not None and record.manually_runnable is not None:
-            pairs.append((report.pipeline_label == PIPELINE_RUNS, record.manually_runnable))
-    cm = count_confusion(pairs)
-    return cm if cm.total else None
-
-
 def render_report(
     reports: Sequence[VerdictReport],
     ground_truth: dict[str, GroundTruthRecord] | None = None,
@@ -463,11 +444,14 @@ def render_report(
     if error_count:
         lines.append(f"papers with stage errors: {error_count}")
     if ground_truth:
-        cm = pipeline_confusion(ordered, ground_truth)
-        if cm is not None:
-            ms = metric_set(cm)
+        # Gate-skipped papers count as predicted not-runnable: nothing was
+        # executed for them, which is the gate's prediction.
+        cm = paired_confusion(
+            {r.paper_id: r.pipeline_label == PIPELINE_RUNS for r in ordered},
+            {pid: record.manually_runnable for pid, record in ground_truth.items()},
+        )
+        if cm.total:
             lines.append("")
             lines.append(render_confusion_table(cm))
-            if ms.accuracy is not None:
-                lines.append(f"accuracy vs ground truth: {100.0 * ms.accuracy:.2f}%")
+            lines.append(f"accuracy vs ground truth: {100.0 * metric_set(cm).accuracy:.2f}%")
     return "\n".join(lines) + "\n", jsonl

@@ -265,12 +265,14 @@ class LocalProcessSandbox:
 
         The archive is ``prepare-<paper_id>-<n>.tar`` for the smallest
         n >= 1 whose file does not exist yet; an existing file is never
-        overwritten.
+        overwritten.  An archive that fails part-way is removed, so no tar
+        holds a partial environment.
         """
         if not self._open:
             raise SnapshotFailure("cannot snapshot a closed sandbox")
         dest = Path(dest_dir) if dest_dir is not None else self.workdir.parent
         dest.mkdir(parents=True, exist_ok=True)
+        out = None
         try:
             for n in itertools.count(1):
                 ref = dest / f"prepare-{paper_id}-{n}.tar"
@@ -281,6 +283,9 @@ class LocalProcessSandbox:
                 for item in sorted(self.workdir.rglob("*")):
                     tar.add(item, arcname=str(item.relative_to(self.workdir)), recursive=False)
         except OSError as exc:
+            if out is not None:
+                with contextlib.suppress(OSError):
+                    ref.unlink()
             raise SnapshotFailure(f"archiving failed: {exc}") from exc
         return str(ref)
 

@@ -15,7 +15,7 @@ from aekit.pipeline import build_chat_factory
 from aekit.prepare import OUTCOME_SUCCESS, AgentTranscript, PrepareOutcome
 from aekit.rate import Cutoff
 
-from conftest import VectorTransport, edited
+from conftest import VectorTransport, edited, train_pipeline_assets
 
 
 DATA = Path(__file__).parent / "data"
@@ -200,22 +200,27 @@ class TestPipelineCommand:
         paper_id = json.loads(lines[1])["paper_id"]
         assert f"predictions name paper {paper_id!r} more than once" in capsys.readouterr().err
 
-    def test_evaluate_on_pipeline_reports_matches_summary(self, workspace, capsys):
-        tmp_path, corpus, config = workspace
-        build_assets(tmp_path, corpus, config)
+    def test_evaluate_on_pipeline_reports_matches_summary(self, tmp_path, mock_corpus_path, prepare_scripts_path, capsys):
+        # Criterion 7's run: summary.txt and `evaluate --field pipeline` count the same pairs.
+        corpus, config = train_pipeline_assets(tmp_path, mock_corpus_path, prepare_scripts_path)
         out = tmp_path / "out"
         assert run_cli("--config", config, "--out", out, "pipeline", "--corpus", corpus) == EXIT_OK
+        labels = [json.loads(line)["pipeline_label"] for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert {"runs", "not_runs", "skipped"} <= set(labels)
         capsys.readouterr()
         assert run_cli(
-            "evaluate", "--predictions", out / "reports.jsonl",
-            "--ground-truth", corpus / "ground_truth.csv", "--field", "pipeline",
+            "evaluate", "--predictions", out / "reports.jsonl", "--ground-truth", corpus / "ground_truth.csv",
+            "--field", "pipeline", "--out-file", tmp_path / "metrics.json",
         ) == EXIT_OK
         printed = capsys.readouterr().out.splitlines()
         summary = (out / "summary.txt").read_text().splitlines()
         start = next(i for i, line in enumerate(summary) if line.startswith("Total"))
         table = summary[start:start + 5]
+        assert table[0] == f"Total {len(labels):<6} Ground truth"
         assert table[-1].startswith("Accuracy:")
         assert printed[:5] == table
+        accuracy = json.loads((tmp_path / "metrics.json").read_text())["accuracy"]
+        assert summary[start + 5] == f"accuracy vs ground truth: {100.0 * accuracy:.2f}%"
 
 
 class TestPrepareCommand:
@@ -489,10 +494,22 @@ class TestConfigErrors:
             ("evaluate-rate", '{"paper_id": "p001", "label": "skipped"}\n', "line 1 has label 'skipped'"),
             ("evaluate-rate", '{"paper_id": "p001", "rate": {"label": "Runs"}}\n',
              "line 1 has label 'Runs'"),
+            ("evaluate", '{"paper_id": 5, "pipeline_label": "runs"}\n',
+             "line 1 has paper_id 5, which is not a string"),
+            ("evaluate", '{"paper_id": "p001", "pipeline_label": "runs"}\n{"paper_id": ["a"], "pipeline_label": "runs"}\n',
+             "line 2 has paper_id ['a'], which is not a string"),
+            ("evaluate-rate", '{"paper_id": "p001", "rate": []}\n', "line 1 has a rate that is not a JSON object"),
+            ("evaluate-rate", '{"paper_id": "p001", "rate": 0}\n', "line 1 has a rate that is not a JSON object"),
+            ("evaluate-rate", '{"paper_id": "p001", "rate": false}\n', "line 1 has a rate that is not a JSON object"),
+            ("evaluate-rate", '{"paper_id": "p001", "rate": ""}\n', "line 1 has a rate that is not a JSON object"),
+            ("evaluate", '{"paper_id": "p001"}\n{"paper_id": "p001", "pipeline_label": "runs"}\n',
+             "predictions name paper 'p001' more than once"),
         ],
         ids=["predictions-json", "predictions-array", "predictions-no-id", "predictions-rate-string",
              "predictions-utf8", "pipeline-label-unknown", "pipeline-label-number",
-             "pipeline-label-unannotated-paper", "rate-label-skipped", "rate-label-case"],
+             "pipeline-label-unannotated-paper", "rate-label-skipped", "rate-label-case",
+             "paper-id-number", "paper-id-list", "rate-empty-list", "rate-zero", "rate-false",
+             "rate-empty-string", "paper-named-twice-once-unlabelled"],
     )
     def test_malformed_json_input_exits_2(self, workspace, capsys, command, content, message):
         tmp_path, corpus, config = workspace

@@ -1,7 +1,9 @@
-"""Smoke test: the fast demos run to completion and leave the repository as it was.
+"""Smoke test: the fast demos run to completion and leave the repository and
+their temporary directory as they were.
 
 ``demos/03_prepare_agent.py`` is left out: it takes seconds, and
-``tests/test_prepare.py`` covers the agent loop it shows.
+``tests/test_prepare.py`` covers the agent loop it shows; CI runs it in a
+step of its own.
 """
 
 import os
@@ -30,29 +32,38 @@ def tree_state(root):
 
 @pytest.fixture(scope="module")
 def demo_runs(tmp_path_factory):
-    """Every demo run at once, each in its own working directory: name -> (exit code, stderr)."""
+    """Every demo run at once, each in its own empty directory, its working and its temporary one.
+
+    Returns ``({name: (exit code, stderr, what is left in that directory)}, repository state
+    before, repository state after)``.
+    """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     before = tree_state(REPO)
     procs = {}
     for name in DEMOS:
         work = tmp_path_factory.mktemp(name)
-        procs[name] = subprocess.Popen(
+        procs[name] = work, subprocess.Popen(
             [sys.executable, str(REPO / "demos" / f"{name}.py")],
             cwd=work, env=dict(env, TMPDIR=str(work)),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         )
     runs = {}
-    for name, proc in procs.items():
+    for name, (work, proc) in procs.items():
         _, stderr = proc.communicate(timeout=120)
-        runs[name] = (proc.returncode, stderr)
+        runs[name] = (proc.returncode, stderr, sorted(os.listdir(work)))
     return runs, before, tree_state(REPO)
 
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_0(demo_runs, name):
-    code, stderr = demo_runs[0][name]
+    code, stderr, _ = demo_runs[0][name]
     assert code == 0, stderr
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_leaves_its_temp_directory_empty(demo_runs, name):
+    assert demo_runs[0][name][2] == []
 
 
 def test_demos_write_nothing_into_the_repository(demo_runs):

@@ -20,6 +20,7 @@ from aekit.gateway import (
 )
 from aekit.jsonio import canonical_dumps
 from aekit.measure import ConceptVector
+from aekit.metrics import ConfusionMatrix, paired_confusion, render_confusion_table
 from aekit.pipeline import (
     AssessSettings,
     ConfigError,
@@ -35,7 +36,6 @@ from aekit.pipeline import (
     build_chat_factory,
     build_embedding_provider,
     load_pipeline_config,
-    pipeline_confusion,
     render_report,
     run_pipeline,
 )
@@ -355,13 +355,16 @@ class TestPipelineConfusion:
             "a": GroundTruthRecord("a", code_available=True, manually_runnable=True),
             "b": GroundTruthRecord("b", code_available=True, manually_runnable=True),
         }
-        cm = pipeline_confusion(reports, gt)
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 0, 1, 0)
+        summary, _ = render_report(reports, gt)
+        expected = render_confusion_table(ConfusionMatrix(tp=1, fp=0, fn=1, tn=0))
+        assert f"\n{expected}\naccuracy vs ground truth: 50.00%\n" in summary
 
     def test_unannotated_papers_ignored(self):
-        reports = [VerdictReport("a", 0, PIPELINE_RUNS)]
+        reports = [VerdictReport("a", 0, PIPELINE_RUNS), VerdictReport("b", 0, PIPELINE_RUNS)]
         gt = {"a": GroundTruthRecord("a", code_available=True)}
-        assert pipeline_confusion(reports, gt) is None
+        assert "Total" not in render_report(reports, gt)[0]
+        assert paired_confusion({"a": True, "b": True, "c": None}, {"a": None, "c": True}).total == 0
+        assert paired_confusion({"a": True, "b": False}, {"a": True, "c": False}).as_counts() == (1, 0, 0, 0)
 
 
 class TestVerdictSerialization:

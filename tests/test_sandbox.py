@@ -288,6 +288,27 @@ class TestLocalSnapshot:
         ref = sandbox.snapshot("paper-42", tmp_path / "s")
         assert "paper-42" in ref
 
+    def test_a_failed_archive_is_removed_and_its_number_reused(self, sandbox, tmp_path, monkeypatch):
+        sandbox.run("printf one > a && printf two > b", 10, 1024)
+        add = tarfile.TarFile.add
+        added = []
+
+        def fail_on_second(self, *args, **kwargs):
+            added.append(args[0])
+            if len(added) == 2:
+                raise OSError("disk full")
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(tarfile.TarFile, "add", fail_on_second)
+        with pytest.raises(SnapshotFailure, match="archiving failed: disk full"):
+            sandbox.snapshot("paperX", tmp_path / "s")
+        assert list((tmp_path / "s").iterdir()) == []
+        monkeypatch.undo()
+        ref = sandbox.snapshot("paperX", tmp_path / "s")
+        assert ref == str(tmp_path / "s" / "prepare-paperX-1.tar")
+        with tarfile.open(ref) as tar:
+            assert tar.getnames() == ["a", "b"]
+
 
 class FakeCli:
     """Records engine invocations and replays canned results."""
