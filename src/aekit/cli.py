@@ -3,15 +3,19 @@
 Subcommands: extract-concept, calibrate, rate, prepare, assess-train,
 assess, pipeline, evaluate.  Provider settings come from the --config
 file (see load_pipeline_config); --seed overrides the configured seed.
-Exit codes: 0 on batch completion, 2 on configuration errors, including a
-malformed input file (the message names it; an unknown section or key in
-the --config INI and an unknown label in --predictions count), an
---n-train out of range, a calibration split that lacks one label class,
-an --annotations file that lacks a training paper, a --bank and --model
-that do not match, an input path that names a directory and a paper
-annotated with a readme that has no readme.txt.  A corpus directory that
-cannot be loaded is skipped and named on stderr; a corpus left with no
-paper exits 2.
+
+Exit codes: 0 on batch completion.  2 when aekit refuses an input's
+content (ConfigError) or a path the user gave cannot be used (an OSError
+that names its path); the message on stderr names the file or path.  Any
+other exception ends in a traceback with exit 1, and apart from a
+provider failure (GatewayError) and a closed stdout that is an aekit
+defect.  The content checks: a malformed input file (an unknown section
+or key in the --config INI and an unknown label in --predictions count),
+an --n-train out of range, a calibration split that lacks one label
+class, an --annotations file that lacks a training paper, a --bank and
+--model that do not match and a paper annotated with a readme that has
+no readme.txt.  A corpus directory that cannot be loaded is skipped and
+named on stderr; a corpus left with no paper exits 2.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from pathlib import Path
 
 from .assess import (
     STATUS_TRAINED,
-    AlignmentMismatch,
     AssessorModel,
     PitfallBank,
     assess_documents,
     build_pitfall_bank,
+    check_alignment,
     featurize,
     load_pitfall_specs,
     train_assessor,
@@ -62,7 +66,6 @@ from .pipeline import (
 from .prepare import ArtifactBundle, run_prepare_loop
 from .rate import (
     Cutoff,
-    DegenerateLabels,
     LABEL_NOT_RUNS,
     LABEL_RUNS,
     RateInput,
@@ -150,7 +153,8 @@ def _cmd_calibrate(args) -> int:
         docs = [compose_rate_document(i) for i in _rate_inputs(train)]
         scores = score_documents(provider, neutral, docs, concept).tolist()
     labels = [LABEL_RUNS if e.ground_truth.manually_runnable else LABEL_NOT_RUNS for e in train]
-    cutoff = calibrate_cutoff(scores, labels)
+    with checked_input(f"corpus {args.corpus}"):
+        cutoff = calibrate_cutoff(scores, labels)
     write_text(args.out_file, cutoff.to_json())
     n_runs = sum(1 for lab in labels if lab == LABEL_RUNS)
     print(
@@ -177,8 +181,6 @@ def _cmd_rate(args) -> int:
 def _cmd_prepare(args) -> int:
     config = _load_config(args)
     bundle_dir = Path(args.bundle)
-    if not (bundle_dir / "paper.txt").is_file() or not (bundle_dir / "source.ref").is_file():
-        raise ConfigError(f"bundle {bundle_dir} needs paper.txt and source.ref")
     with checked_input(f"bundle {bundle_dir}"):
         entry = _read_paper_dir(bundle_dir)
         bundle = ArtifactBundle(entry.paper_id, entry.paper_text, entry.source_ref, entry.readme_text)
@@ -198,24 +200,21 @@ def _cmd_assess_train(args) -> int:
     config = _load_config(args)
     with closing_built(build_embedding_provider(config.embedding)) as provider:
         train = _train_entries(args.corpus, STAGE_ASSESS, args.n_train, config.seed, MIN_PROBES)
+        by_id = sorted(train, key=lambda e: e.paper_id)
         annotations = load_ground_truth(Path(args.annotations))
+        with checked_input(f"annotations {args.annotations}"):
+            for e in by_id:
+                if e.paper_id not in annotations:
+                    raise ValueError(f"no annotation for paper {e.paper_id!r}")
 
         specs = load_pitfall_specs(args.pitfalls)
         probes = ProbeSet(tuple(e.paper_text for e in train))
         bank = build_pitfall_bank(specs, probes, provider)
-        features = [
-            featurize(e.paper_text, bank, provider, paper_id=e.paper_id)
-            for e in sorted(train, key=lambda e: e.paper_id)
-        ]
+        features = [featurize(e.paper_text, bank, provider, paper_id=e.paper_id) for e in by_id]
     pitfall_annotations = {
         pid: rec.pitfalls for pid, rec in annotations.items()
     }
-    try:
-        model = train_assessor(
-            features, pitfall_annotations, bank.pitfall_ids, mode=args.mode
-        )
-    except AlignmentMismatch as exc:
-        raise ConfigError(f"annotations {args.annotations}: {exc}") from exc
+    model = train_assessor(features, pitfall_annotations, bank.pitfall_ids, mode=args.mode)
     # Both files are written only once the model is trained.
     write_text(args.bank_out, bank.to_json())
     write_text(args.model_out, model.to_json())
@@ -232,13 +231,10 @@ def _cmd_assess(args) -> int:
     with closing_built(build_embedding_provider(config.embedding)) as provider:
         bank = load_artifact(PitfallBank, args.bank)
         model = load_artifact(AssessorModel, args.model)
+        with checked_input(f"--bank {args.bank} and --model {args.model}"):
+            check_alignment(bank, model)
         entries = sorted(_load_corpus(args.corpus).entries, key=lambda e: e.paper_id)
-        try:
-            reports = assess_documents(
-                [(e.paper_id, e.paper_text) for e in entries], bank, model, provider
-            )
-        except AlignmentMismatch as exc:
-            raise ConfigError(f"--bank {args.bank} and --model {args.model}: {exc}") from exc
+        reports = assess_documents([(e.paper_id, e.paper_text) for e in entries], bank, model, provider)
     write_text(args.out_file, dumps_jsonl(r.to_dict() for r in reports))
     print(f"assessed {len(reports)} papers -> {args.out_file}")
     return EXIT_OK
@@ -250,16 +246,16 @@ def _cmd_pipeline(args) -> int:
     result = run_pipeline(config, loaded.entries)
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    transcripts_dir = out_dir / "transcripts"
+    # Both directories are made before any file is written, so one that
+    # cannot be made leaves no report behind.
+    transcripts_dir.mkdir(parents=True, exist_ok=True)
     ground_truth = {
         e.paper_id: e.ground_truth for e in loaded.entries if e.ground_truth is not None
     }
     summary, jsonl = render_report(result.reports, ground_truth)
     write_text(out_dir / "reports.jsonl", jsonl)
     write_text(out_dir / "summary.txt", summary)
-
-    transcripts_dir = out_dir / "transcripts"
-    transcripts_dir.mkdir(exist_ok=True)
     for paper_id, outcome in sorted(result.prepare_outcomes.items()):
         write_text(transcripts_dir / f"{paper_id}.json", outcome.to_json())
 
@@ -380,7 +376,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError, DegenerateLabels) as exc:
+    except (ConfigError, OSError) as exc:
+        # An OSError that names no path (a closed stdout) is no input's fault.
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

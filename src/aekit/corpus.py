@@ -15,6 +15,7 @@ present / partial / absent / unclear.  Empty cells mean "not annotated".
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import random
 from dataclasses import dataclass, field
@@ -215,7 +216,7 @@ def load_corpus(root: str | Path) -> LoadedCorpus:
     """
     root = Path(root)
     if not root.is_dir():
-        raise MissingRoot(f"corpus root not found: {root}")
+        raise MissingRoot(errno.ENOENT, "corpus root not found", str(root))
 
     gt_path = root / "ground_truth.csv"
     ground_truth = load_ground_truth(gt_path) if gt_path.is_file() else {}

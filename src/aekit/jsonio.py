@@ -182,9 +182,11 @@ def json_object(text: str, what: str = "the file") -> dict:
 
 @contextmanager
 def checked_input(source):
-    """A decode, shape or field error in the block becomes ConfigError naming ``source``.
+    """A decode, shape, field or check error in the block becomes ConfigError naming ``source``.
 
-    A ConfigError raised in the block names its source already and passes through.
+    Those are ValueError, TypeError and KeyError; an OSError passes through, since
+    its message names its path.  A ConfigError raised in the block names its source
+    already and passes through.
     """
     try:
         yield

@@ -151,11 +151,13 @@ def render_confusion_table(
     def fmt(value: float | None) -> str:
         return "n/a" if value is None else f"{100.0 * value:.2f}%"
 
+    # Row labels are padded to one width, so the percentage columns line up.
+    width = max(16, len(system_label + " not-runs"))
     lines = [
         f"Total {cm.total:<6} {truth_label}",
-        f"{'':16}{'runs':>10} {'not-runs':>10}",
-        f"{system_label + ' runs':<16}{tp_p:>9.2f}% {fp_p:>9.2f}%",
-        f"{system_label + ' not-runs':<16}{fn_p:>9.2f}% {tn_p:>9.2f}%",
+        f"{'':{width}}{'runs':>10} {'not-runs':>10}",
+        f"{system_label + ' runs':<{width}}{tp_p:>9.2f}% {fp_p:>9.2f}%",
+        f"{system_label + ' not-runs':<{width}}{fn_p:>9.2f}% {tn_p:>9.2f}%",
         f"Accuracy: {fmt(ms.accuracy)}  Precision: {fmt(ms.precision)}  Recall: {fmt(ms.recall)}",
     ]
     return "\n".join(lines)

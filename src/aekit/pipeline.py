@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .assess import (
-    AlignmentMismatch,
     AssessorModel,
     PitfallBank,
     PitfallReport,
@@ -359,12 +358,8 @@ def run_pipeline(
         if config.assess.enabled:
             bank = load_artifact(PitfallBank, config.assess.bank_path)
             model = load_artifact(AssessorModel, config.assess.model_path)
-            try:
+            with checked_input(f"bank {config.assess.bank_path} and model {config.assess.model_path}"):
                 check_alignment(bank, model)
-            except AlignmentMismatch as exc:
-                raise ConfigError(
-                    f"bank {config.assess.bank_path} and model {config.assess.model_path}: {exc}"
-                ) from exc
 
         if prepare_fn is None:
             def prepare_fn(bundle: ArtifactBundle, chat: ChatProvider) -> PrepareOutcome:

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import json
 import math
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -456,7 +458,9 @@ class TestConfigErrors:
             "--concept", tmp_path / "concept.json", "--n-train", "3",
             "--out-file", tmp_path / "cutoff.json",
         ) == EXIT_CONFIG
-        assert "configuration error: calibration needs both" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"configuration error: corpus {corpus}: calibration needs both runs and not_runs examples\n"
+        )
         assert not (tmp_path / "cutoff.json").exists()
 
     @pytest.mark.parametrize(
@@ -685,47 +689,83 @@ class TestConfigErrors:
         assert err.startswith(f"configuration error: {gt}: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["wrong-kind", "under-a-file", "too-long"])
     @pytest.mark.parametrize(
         "option",
         ["--concept", "--cutoff", "--bank", "--model", "--prompts", "--pitfalls", "--predictions",
-         "--annotations", "--ground-truth", "script"],
+         "--annotations", "--ground-truth", "script", "--corpus", "--bundle", "--config", "--out-file",
+         "--out", "cache_dir"],
     )
-    def test_an_input_path_that_names_a_directory_exits_2(self, trained, tmp_path, capsys, option):
+    def test_an_unusable_path_exits_2_naming_it(self, trained, tmp_path, capsys, option, kind):
         root, corpus, config = trained
-        given = tmp_path / "a-directory"
-        given.mkdir()
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        # A wrong-kind path is a regular file where a directory is named and
+        # a directory where a file is.
+        names_a_directory = option in ("--corpus", "--bundle", "--out", "cache_dir")
+        given = {
+            "wrong-kind": a_file if names_a_directory else tmp_path / "a-directory",
+            "under-a-file": a_file / "x",
+            "too-long": tmp_path / ("x" * 256),
+        }[kind]
+        if kind == "wrong-kind" and not names_a_directory:
+            given.mkdir()
         out = tmp_path / "out.json"
         predictions = tmp_path / "predictions.jsonl"
         predictions.write_text('{"paper_id": "p001", "pipeline_label": "runs"}\n')
         gt = corpus / "ground_truth.csv"
+        text = config.read_text()
         if option == "script":
-            (tmp_path / "pipeline.ini").write_text(config.read_text().replace(str(root / "scripts.json"), str(given)))
-            config = tmp_path / "pipeline.ini"
+            text = text.replace(str(root / "scripts.json"), str(given))
+        if option == "cache_dir":
+            text = text.replace("kind = mock\nseed = 11\ndim = 48\n", "kind = remote\nmodel_name = m\n"
+                                f"endpoint_url = http://127.0.0.1:9\ncache_dir = {given}\n")
+        config = tmp_path / "pipeline.ini"
+        config.write_text(text)
         argv = {
-            "--concept": ["rate", "--corpus", corpus, "--concept", given, "--cutoff", root / "cutoff.json"],
-            "--cutoff": ["rate", "--corpus", corpus, "--concept", root / "concept.json", "--cutoff", given],
-            "--bank": ["assess", "--corpus", corpus, "--bank", given, "--model", root / "model.json"],
-            "--model": ["assess", "--corpus", corpus, "--bank", root / "bank.json", "--model", given],
-            "--prompts": ["extract-concept", "--corpus", corpus, "--n-train", "3", "--prompts", given],
+            "--concept": ["rate", "--corpus", corpus, "--concept", given, "--cutoff", root / "cutoff.json",
+                          "--out-file", out],
+            "--cutoff": ["rate", "--corpus", corpus, "--concept", root / "concept.json", "--cutoff", given,
+                         "--out-file", out],
+            "--bank": ["assess", "--corpus", corpus, "--bank", given, "--model", root / "model.json",
+                       "--out-file", out],
+            "--model": ["assess", "--corpus", corpus, "--bank", root / "bank.json", "--model", given,
+                        "--out-file", out],
+            "--prompts": ["extract-concept", "--corpus", corpus, "--n-train", "3", "--prompts", given,
+                          "--out-file", out],
             "--pitfalls": ["assess-train", "--corpus", corpus, "--annotations", gt, "--n-train", "3",
                            "--pitfalls", given, "--bank-out", out, "--model-out", out],
             "--annotations": ["assess-train", "--corpus", corpus, "--annotations", given, "--n-train", "3",
                               "--bank-out", out, "--model-out", out],
-            "--predictions": ["evaluate", "--predictions", given, "--ground-truth", gt],
-            "--ground-truth": ["evaluate", "--predictions", predictions, "--ground-truth", given],
-            "script": ["prepare", "--bundle", corpus / "p001"],
+            "--predictions": ["evaluate", "--predictions", given, "--ground-truth", gt, "--out-file", out],
+            "--ground-truth": ["evaluate", "--predictions", predictions, "--ground-truth", given,
+                               "--out-file", out],
+            "script": ["prepare", "--bundle", corpus / "p001", "--out-file", out],
+            "--corpus": stage_argv("rate", root, given, out),
+            "--bundle": ["prepare", "--bundle", given, "--out-file", out],
+            "--config": stage_argv("rate", root, corpus, out),
+            "--out-file": ["evaluate", "--predictions", predictions, "--ground-truth", gt, "--out-file", given],
+            "--out": stage_argv("pipeline", root, corpus, given),
+            "cache_dir": stage_argv("rate", root, corpus, out),
         }[option]
-        if "--bank-out" not in argv:
-            argv += ["--out-file", out]
-        assert run_cli("--config", config, *argv) == EXIT_CONFIG
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("--config", given if option == "--config" else config, *argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and str(given) in err
-        assert not out.exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_annotations_without_the_training_papers_exit_2_and_write_nothing(
-        self, trained, tmp_path, capsys
+        self, trained, tmp_path, capsys, monkeypatch
     ):
         root, corpus, config = trained
+        embedded = []
+
+        class CountingMock(MockEmbeddingProvider):
+            def embed_many(self, items):
+                embedded.extend(items)
+                return super().embed_many(items)
+
+        monkeypatch.setattr(cli, "build_embedding_provider", lambda settings: CountingMock(settings.seed, settings.dim))
         annotations = tmp_path / "annotations.csv"
         annotations.write_text("paper_id,code_available,readme_present,manually_runnable,P1\n"
                                "elsewhere,true,true,true,present\n")
@@ -737,6 +777,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: annotations {annotations}: no annotation for paper")
         assert not bank.exists() and not model.exists()
+        assert embedded == []
+
+    def test_a_closed_stdout_is_not_reported_as_a_configuration_error(self, trained, tmp_path, capsys, monkeypatch):
+        root, corpus, config = trained
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text('{"paper_id": "p001", "pipeline_label": "runs"}\n')
+
+        class ClosedStdout:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        with pytest.raises(BrokenPipeError):
+            run_cli("evaluate", "--predictions", predictions, "--ground-truth", corpus / "ground_truth.csv")
+        assert "configuration error" not in capsys.readouterr().err
 
 
 def stage_argv(command, root, corpus, out):
@@ -878,6 +936,18 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err == f"configuration error: {given}: entries[0]: missing field 'neutral_prompt'\n"
         assert not out.exists()
+
+    def test_a_file_in_place_of_the_transcripts_directory_exits_2_and_writes_nothing(
+        self, trained, tmp_path, capsys
+    ):
+        root, corpus, config = trained
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "transcripts").write_text("")
+        assert run_cli("--config", config, *stage_argv("pipeline", root, corpus, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out / "transcripts") in err
+        assert [p.name for p in out.iterdir()] == ["transcripts"]
 
     @pytest.mark.parametrize("paper_dirs", [(), ("p001",)], ids=["empty", "no-paper-txt"])
     def test_pipeline_over_a_corpus_without_a_paper_exits_2_and_writes_nothing(

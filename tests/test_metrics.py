@@ -140,3 +140,21 @@ class TestRenderTable:
         assert "7.14%" in table and "65.08%" in table
         assert "Accuracy: 72.22%" in table
         assert "Recall: 27.27%" in table
+
+    @pytest.mark.parametrize("label", ["Pipeline", "Rate"])
+    def test_percentage_columns_line_up_under_their_headers(self, label):
+        table = render_confusion_table(ConfusionMatrix(tp=9, fp=11, fn=24, tn=82), system_label=label)
+        header, runs, not_runs = table.splitlines()[1:4]
+        column_ends = [header.index("runs") + len("runs"), len(header)]
+        for row in (runs, not_runs):
+            assert [i + 1 for i, ch in enumerate(row) if ch == "%"] == column_ends
+
+    def test_a_rate_table_keeps_its_sixteen_character_labels(self):
+        table = render_confusion_table(ConfusionMatrix(tp=9, fp=11, fn=24, tn=82), system_label="Rate")
+        assert table == (
+            "Total 126    Ground truth\n"
+            "                      runs   not-runs\n"
+            "Rate runs            7.14%      8.73%\n"
+            "Rate not-runs       19.05%     65.08%\n"
+            "Accuracy: 72.22%  Precision: 45.00%  Recall: 27.27%"
+        )
